@@ -68,10 +68,11 @@ struct SessionConfig {
   bool synthesize_waveform = false;  ///< CORDIC on-chip waveform synthesis
   bool quantise_period = false;  ///< hardware-style period quantisation
   /// Kernel execution back end (cgra/exec_tier.hpp): interpreter, bytecode,
-  /// native codegen, or auto. All tiers are bit-identical, so this knob
+  /// native codegen, or auto (the default: native when a host compiler
+  /// exists, else bytecode). All tiers are bit-identical, so this knob
   /// changes throughput only — but it is still part of the config digest
   /// (the journal records exactly what ran).
-  cgra::ExecTier exec_tier = cgra::ExecTier::kInterpreter;
+  cgra::ExecTier exec_tier = cgra::ExecTier::kAuto;
   double phase_noise_rad = 0.0;  ///< detector noise injection
   std::uint64_t noise_seed = 7;  ///< deterministic per-session noise stream
   /// Supervised recovery layer with default thresholds (SupervisorConfig);

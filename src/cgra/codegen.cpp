@@ -4,6 +4,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -13,7 +14,8 @@
 #include <fstream>
 #include <future>
 #include <sstream>
-#include <unordered_set>
+#include <string_view>
+#include <type_traits>
 
 #include "cgra/exec.hpp"
 #include "cgra/op.hpp"
@@ -42,6 +44,77 @@ std::string hex_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%a", v);
   return buf;
+}
+
+/// Append-only source text: the emitter's output buffer. One std::string
+/// grown in place instead of an ostringstream per operand; integers format
+/// through std::to_chars, which spells them exactly as operator<< does.
+/// Doubles have no overload on purpose: they go through hex_double().
+class SourceText {
+ public:
+  SourceText& operator<<(std::string_view s) {
+    s_.append(s);
+    return *this;
+  }
+  SourceText& operator<<(char c) {
+    s_.push_back(c);
+    return *this;
+  }
+  template <typename T, typename = std::enable_if_t<std::is_integral_v<T>>>
+  SourceText& operator<<(T v) {
+    char buf[24];
+    const auto r = std::to_chars(buf, buf + sizeof buf, v);
+    s_.append(buf, r.ptr);
+    return *this;
+  }
+  SourceText& operator<<(double) = delete;
+
+  void reserve(std::size_t n) { s_.reserve(n); }
+  [[nodiscard]] std::string take() { return std::move(s_); }
+
+ private:
+  std::string s_;
+};
+
+/// `bank[row + lane]`: a raw (double-domain) row element.
+struct RowRef {
+  const char* bank;
+  std::size_t row;
+  std::string_view lane;
+};
+SourceText& operator<<(SourceText& o, const RowRef& r) {
+  return o << r.bank << '[' << r.row << " + " << r.lane << ']';
+}
+
+/// A row element converted to working precision.
+struct WorkingRef {
+  RowRef raw;
+};
+SourceText& operator<<(SourceText& o, const WorkingRef& r) {
+  return o << "(citl_f)" << r.raw;
+}
+
+/// A vector operand inside a SIMD block: the live local `n<id>`, or a
+/// converting load of `bank + row + b`.
+struct VecRef {
+  bool local;
+  NodeId id;
+  const char* bank;
+  std::size_t row;
+};
+SourceText& operator<<(SourceText& o, const VecRef& v) {
+  if (v.local) return o << 'n' << v.id;
+  return o << "CITL_V_LOAD_D(" << v.bank << " + " << v.row << " + b)";
+}
+
+/// `cg<gid>_<base><u>`: a name local to one fused CORDIC group.
+struct GroupName {
+  int gid;
+  const char* base;
+  std::size_t u;
+};
+SourceText& operator<<(SourceText& o, const GroupName& n) {
+  return o << "cg" << n.gid << '_' << n.base << n.u;
 }
 
 bool is_copy_node(OpKind k) {
@@ -77,9 +150,14 @@ class Emitter {
           static_cast<int>(i);
     }
     topo_ = k_.dfg.topo_order();
+    local_.assign(n, 0);
+    in_segment_.assign(n, 0);
+    done_.assign(n, 0);
   }
 
   std::string emit() {
+    // About 8 KiB of preamble plus 400-550 bytes per node (stock kernels).
+    out_.reserve(8192 + 640 * k_.dfg.size());
     preamble();
     out_ << "extern \"C\" {\n\n";
     out_ << "typedef struct citl_native_ctx_s {\n"
@@ -101,7 +179,7 @@ class Emitter {
     emit_dense();
     emit_masked();
     out_ << "}  // extern \"C\"\n";
-    return out_.str();
+    return out_.take();
   }
 
  private:
@@ -110,32 +188,26 @@ class Emitter {
   }
 
   /// Raw (double-domain) operand row expression indexed by `lane`.
-  std::string raw_operand(NodeId consumer, NodeId producer,
-                          const std::string& lane) const {
+  RowRef raw_operand(NodeId consumer, NodeId producer,
+                     std::string_view lane) const {
     const char* bank = k_.dfg.is_pipeline_edge(producer, consumer) ? "P" : "V";
-    std::ostringstream s;
-    s << bank << "[" << row(producer) << " + " << lane << "]";
-    return s.str();
+    return {bank, row(producer), lane};
   }
 
   /// Working-precision operand expression indexed by `lane`.
-  std::string f_operand(NodeId consumer, NodeId producer,
-                        const std::string& lane) const {
-    return "(citl_f)" + raw_operand(consumer, producer, lane);
+  WorkingRef f_operand(NodeId consumer, NodeId producer,
+                       std::string_view lane) const {
+    return {raw_operand(consumer, producer, lane)};
   }
 
   /// Vector operand: a live block-local when the producer is a compute node
   /// of the current segment, otherwise a (converting) row load at block
   /// offset `b`. Pipeline edges always read the register bank.
-  std::string vec_operand(NodeId consumer, NodeId producer) const {
-    if (!k_.dfg.is_pipeline_edge(producer, consumer) &&
-        locals_.count(producer) != 0) {
-      return "n" + std::to_string(producer);
-    }
-    const char* bank = k_.dfg.is_pipeline_edge(producer, consumer) ? "P" : "V";
-    std::ostringstream s;
-    s << "CITL_V_LOAD_D(" << bank << " + " << row(producer) << " + b)";
-    return s.str();
+  VecRef vec_operand(NodeId consumer, NodeId producer) const {
+    const bool pipe = k_.dfg.is_pipeline_edge(producer, consumer);
+    const bool local =
+        !pipe && local_[static_cast<std::size_t>(producer)] != 0;
+    return {local, producer, pipe ? "P" : "V", row(producer)};
   }
 
   double quantised_const(const Node& n) const {
@@ -160,7 +232,7 @@ class Emitter {
   /// One node evaluated for one lane, bit-identical to
   /// BatchedCgraMachine::run_pass. Used for masked passes, SIMD tails, and
   /// copy/IO nodes inside dense blocks.
-  void scalar_stmt(NodeId id, const std::string& lane, const char* ind) {
+  void scalar_stmt(NodeId id, std::string_view lane, const char* ind) {
     const Node& n = k_.dfg.node(id);
     const std::size_t dst = row(id);
     auto A = [&] { return f_operand(id, n.args[0], lane); };
@@ -277,48 +349,49 @@ class Emitter {
       out_ << "    }\n";
       return;
     }
-    const std::string name = "n" + std::to_string(id);
     auto A = [&] { return vec_operand(id, n.args[0]); };
     auto B = [&] { return vec_operand(id, n.args[1]); };
-    auto def = [&](const std::string& expr) {
-      out_ << "    const citl_v " << name << " = " << expr << ";\n";
+    auto def = [&](const char* fn, auto... args) {
+      out_ << "    const citl_v n" << id << " = " << fn << '(';
+      const char* sep = "";
+      ((out_ << sep << args, sep = ", "), ...);
+      out_ << ");\n";
     };
     switch (n.kind) {
-      case OpKind::kAdd: def("CITL_V_ADD(" + A() + ", " + B() + ")"); break;
-      case OpKind::kSub: def("CITL_V_SUB(" + A() + ", " + B() + ")"); break;
-      case OpKind::kMul: def("CITL_V_MUL(" + A() + ", " + B() + ")"); break;
-      case OpKind::kDiv: def("CITL_V_DIV(" + A() + ", " + B() + ")"); break;
-      case OpKind::kSqrt: def("CITL_V_SQRT(" + A() + ")"); break;
-      case OpKind::kNeg: def("CITL_V_NEG(" + A() + ")"); break;
-      case OpKind::kAbs: def("CITL_V_ABS(" + A() + ")"); break;
-      case OpKind::kMin: def("CITL_V_FMIN(" + A() + ", " + B() + ")"); break;
-      case OpKind::kMax: def("CITL_V_FMAX(" + A() + ", " + B() + ")"); break;
-      case OpKind::kFloor: def("CITL_V_FLOOR(" + A() + ")"); break;
-      case OpKind::kCmpLt: def("CITL_V_LT(" + A() + ", " + B() + ")"); break;
-      case OpKind::kCmpLe: def("CITL_V_LE(" + A() + ", " + B() + ")"); break;
-      case OpKind::kCmpEq: def("CITL_V_EQ(" + A() + ", " + B() + ")"); break;
+      case OpKind::kAdd: def("CITL_V_ADD", A(), B()); break;
+      case OpKind::kSub: def("CITL_V_SUB", A(), B()); break;
+      case OpKind::kMul: def("CITL_V_MUL", A(), B()); break;
+      case OpKind::kDiv: def("CITL_V_DIV", A(), B()); break;
+      case OpKind::kSqrt: def("CITL_V_SQRT", A()); break;
+      case OpKind::kNeg: def("CITL_V_NEG", A()); break;
+      case OpKind::kAbs: def("CITL_V_ABS", A()); break;
+      case OpKind::kMin: def("CITL_V_FMIN", A(), B()); break;
+      case OpKind::kMax: def("CITL_V_FMAX", A(), B()); break;
+      case OpKind::kFloor: def("CITL_V_FLOOR", A()); break;
+      case OpKind::kCmpLt: def("CITL_V_LT", A(), B()); break;
+      case OpKind::kCmpLe: def("CITL_V_LE", A(), B()); break;
+      case OpKind::kCmpEq: def("CITL_V_EQ", A(), B()); break;
       case OpKind::kSelect:
-        def("CITL_V_SELECT(" + A() + ", " + B() + ", " +
-            vec_operand(id, n.args[2]) + ")");
+        def("CITL_V_SELECT", A(), B(), vec_operand(id, n.args[2]));
         break;
       default:
         break;  // copy/IO handled elsewhere, CORDIC by emit_cordic_group()
     }
-    out_ << "    CITL_V_STORE_D(V + " << row(id) << " + b, " << name
+    out_ << "    CITL_V_STORE_D(V + " << row(id) << " + b, n" << id
          << ");\n";
-    locals_.insert(id);
+    local_[static_cast<std::size_t>(id)] = 1;
   }
 
   /// All operands of `id` computable at this point of the block body: a
   /// producer outside the segment (row load), a pipeline edge (register-bank
   /// load), or a segment node already emitted.
-  bool node_ready(NodeId id, const std::unordered_set<NodeId>& segment,
-                  const std::unordered_set<NodeId>& done) const {
+  bool node_ready(NodeId id) const {
     const Node& n = k_.dfg.node(id);
     for (NodeId a : n.args) {
       if (a == kNoNode) continue;
       if (k_.dfg.is_pipeline_edge(a, id)) continue;
-      if (segment.count(a) != 0 && done.count(a) == 0) return false;
+      const auto ai = static_cast<std::size_t>(a);
+      if (in_segment_[ai] != 0 && done_[ai] == 0) return false;
     }
     return true;
   }
@@ -335,7 +408,7 @@ class Emitter {
       bool pipe;
     };
     std::vector<AngleKey> angles;
-    std::vector<std::string> angle_exprs;
+    std::vector<VecRef> angle_exprs;
     std::vector<std::size_t> angle_of(group.size());
     for (std::size_t i = 0; i < group.size(); ++i) {
       const NodeId id = group[i];
@@ -352,9 +425,8 @@ class Emitter {
       }
       angle_of[i] = u;
     }
-    const std::string g = "cg" + std::to_string(gid) + "_";
-    auto nm = [&](const char* base, std::size_t u) {
-      return g + base + std::to_string(u);
+    auto nm = [gid](const char* base, std::size_t u) {
+      return GroupName{gid, base, u};
     };
     for (std::size_t u = 0; u < angles.size(); ++u) {
       out_ << "    citl_v " << nm("c", u) << ", " << nm("s", u) << ";\n";
@@ -416,7 +488,7 @@ class Emitter {
            << nm(is_sin ? "s" : "c", angle_of[i]) << ";\n"
            << "    CITL_V_STORE_D(V + " << row(id) << " + b, n" << id
            << ");\n";
-      locals_.insert(id);
+      local_[static_cast<std::size_t>(id)] = 1;
     }
   }
 
@@ -479,7 +551,6 @@ class Emitter {
       }
       std::size_t j = i;
       while (j < topo_.size() && !is_io_node(k_.dfg.node(topo_[j]).kind)) ++j;
-      locals_.clear();
       out_ << "  for (int b = 0; b + CITL_W <= CITL_LANES; b += CITL_W) {\n";
       // Wave schedule within the IO-free segment: emit ready non-CORDIC
       // nodes in topo order, then fuse every ready CORDIC node into one
@@ -488,10 +559,10 @@ class Emitter {
       // data dependencies are respected — and it converts the CORDIC chains
       // from latency-bound back-to-back loops into one throughput-bound one.
       {
-        const std::unordered_set<NodeId> segment(topo_.begin() + i,
-                                                 topo_.begin() + j);
+        for (std::size_t s = i; s < j; ++s) {
+          in_segment_[static_cast<std::size_t>(topo_[s])] = 1;
+        }
         std::vector<NodeId> pending(topo_.begin() + i, topo_.begin() + j);
-        std::unordered_set<NodeId> done;
         int gid = 0;
         while (!pending.empty()) {
           bool progress = true;
@@ -501,9 +572,9 @@ class Emitter {
               const OpKind kind = k_.dfg.node(*it).kind;
               const bool cordic =
                   kind == OpKind::kSin || kind == OpKind::kCos;
-              if (!cordic && node_ready(*it, segment, done)) {
+              if (!cordic && node_ready(*it)) {
                 vector_stmt(*it);
-                done.insert(*it);
+                done_[static_cast<std::size_t>(*it)] = 1;
                 it = pending.erase(it);
                 progress = true;
               } else {
@@ -515,7 +586,7 @@ class Emitter {
           for (auto it = pending.begin(); it != pending.end();) {
             const OpKind kind = k_.dfg.node(*it).kind;
             const bool cordic = kind == OpKind::kSin || kind == OpKind::kCos;
-            if (cordic && node_ready(*it, segment, done)) {
+            if (cordic && node_ready(*it)) {
               group.push_back(*it);
               it = pending.erase(it);
             } else {
@@ -524,7 +595,7 @@ class Emitter {
           }
           if (group.empty()) break;  // unreachable: the DFG is acyclic
           emit_cordic_group(group, gid++);
-          for (NodeId nid : group) done.insert(nid);
+          for (NodeId nid : group) done_[static_cast<std::size_t>(nid)] = 1;
         }
       }
       out_ << "  }\n";
@@ -532,7 +603,10 @@ class Emitter {
               " l < CITL_LANES; ++l) {\n";
       for (std::size_t s = i; s < j; ++s) scalar_stmt(topo_[s], "l", "    ");
       out_ << "  }\n";
-      locals_.clear();
+      for (std::size_t s = i; s < j; ++s) {
+        const auto k = static_cast<std::size_t>(topo_[s]);
+        local_[k] = in_segment_[k] = done_[k] = 0;
+      }
       i = j;
     }
     emit_commit_dense();
@@ -705,8 +779,12 @@ class Emitter {
   std::vector<int> param_slot_;
   std::vector<int> state_slot_;
   std::vector<NodeId> topo_;
-  std::unordered_set<NodeId> locals_;
-  std::ostringstream out_;
+  // Per-node flags of the IO-free segment being emitted: a live block-local
+  // exists (local_), the node belongs to the segment, it has been emitted.
+  std::vector<char> local_;
+  std::vector<char> in_segment_;
+  std::vector<char> done_;
+  SourceText out_;
 };
 
 // ---------------------------------------------------------------------------
@@ -822,33 +900,70 @@ const CompilerInfo& compiler_info() {
 // Content hash, disk cache, loading
 // ---------------------------------------------------------------------------
 
-std::uint64_t fnv1a(const std::string& s, std::uint64_t h) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
+/// Two independent 64-bit lanes over 8-byte little-endian words, one pass:
+/// FNV-1a's xor-multiply per word plus a fold, so high input bits also reach
+/// the low output bits. Each field is length-terminated, so concatenations
+/// of different fields cannot collide by construction.
+class KeyHash {
+ public:
+  void field(std::string_view s) {
+    std::size_t i = 0;
+    for (; i + 8 <= s.size(); i += 8) {
+      std::uint64_t w;
+      std::memcpy(&w, s.data() + i, 8);
+      word(w);
+    }
+    std::uint64_t tail = 0;
+    for (std::size_t k = 0; i + k < s.size(); ++k) {
+      tail |= std::uint64_t{static_cast<unsigned char>(s[i + k])} << (8 * k);
+    }
+    word(tail);
+    word(s.size());
   }
+  void word(std::uint64_t w) {
+    a_ = (a_ ^ w) * 1099511628211ull;
+    a_ ^= a_ >> 32;
+    b_ = (b_ ^ w) * 0xff51afd7ed558ccdull;
+    b_ ^= b_ >> 29;
+  }
+  [[nodiscard]] std::uint64_t a() const noexcept { return a_; }
+  [[nodiscard]] std::uint64_t b() const noexcept { return b_; }
+
+ private:
+  std::uint64_t a_ = 14695981039346656037ull;
+  std::uint64_t b_ = 0x9e3779b97f4a7c15ull;
+};
+
+/// 32-hex content key: emitted source + the portability header it includes
+/// (as its two-lane digest) + everything that changes the produced machine
+/// code (compiler version, flags, target SIMD arch, ABI tag).
+std::string content_hash(std::string_view source, const KeyHash& header,
+                         const CompilerInfo& ci) {
+  KeyHash h;
+  h.field(source);
+  h.word(header.a());
+  h.word(header.b());
+  h.field(ci.version);
+  h.field(ci.flags);
+  h.field(ci.arch);
+  h.word(kNativeKernelAbi);
+  char buf[33];
+  std::snprintf(buf, sizeof buf, "%016llx%016llx",
+                static_cast<unsigned long long>(h.a()),
+                static_cast<unsigned long long>(h.b()));
+  return buf;
+}
+
+KeyHash header_digest(std::string_view header) {
+  KeyHash h;
+  h.field(header);
   return h;
 }
 
-/// 32-hex content key: emitted source + everything that changes the produced
-/// machine code (compiler version, flags, target SIMD arch, ABI tag).
-std::string content_hash(const std::string& source, const CompilerInfo& ci) {
-  std::string all = source;
-  all += '\0';
-  all += ci.version;
-  all += '\0';
-  all += ci.flags;
-  all += '\0';
-  all += ci.arch;
-  all += '\0';
-  all += std::to_string(kNativeKernelAbi);
-  const std::uint64_t h1 = fnv1a(all, 14695981039346656037ull);
-  const std::uint64_t h2 = fnv1a(all, 0x9e3779b97f4a7c15ull);
-  char buf[33];
-  std::snprintf(buf, sizeof buf, "%016llx%016llx",
-                static_cast<unsigned long long>(h1),
-                static_cast<unsigned long long>(h2));
-  return buf;
+/// The embedded header's digest, computed once per process.
+const KeyHash& embedded_header_digest() {
+  static const KeyHash h = header_digest(kSimdPortabilityHeader);
+  return h;
 }
 
 /// Atomic file publication: write to a pid-suffixed temp name, rename into
@@ -971,6 +1086,11 @@ std::string emit_kernel_source(const CompiledKernel& kernel,
   return e.emit();
 }
 
+std::string native_cache_key(std::string_view source,
+                             std::string_view header) {
+  return content_hash(source, header_digest(header), compiler_info());
+}
+
 NativeKernel::NativeKernel(void* dl_handle, DenseFn dense, MaskedFn masked,
                            std::string hash, double compile_ms, bool disk_hit,
                            bool repaired)
@@ -1050,7 +1170,7 @@ std::shared_ptr<const NativeKernel> NativeKernelCache::get(
     return nullptr;
   }
   const std::string source = emit_kernel_source(kernel, precision, lanes);
-  const std::string hash = content_hash(source, ci);
+  const std::string hash = content_hash(source, embedded_header_digest(), ci);
 
   std::shared_ptr<Entry> entry;
   bool creator = false;
@@ -1117,15 +1237,8 @@ std::shared_ptr<const NativeKernel> NativeKernelCache::load_or_compile(
     bool* disk_hit, bool* repaired, double* compile_ms, std::string* error) {
   const CompilerInfo& ci = compiler_info();
   const fs::path dir = cache_dir();
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) {
-    *error = "cannot create cache dir " + dir.string() + ": " + ec.message();
-    return nullptr;
-  }
   const fs::path so = dir / (hash + ".so");
-  const fs::path cpp = dir / (hash + ".cpp");
-  const fs::path report = dir / (hash + ".json");
+  std::error_code ec;
 
   // Warm path: a previously cached .so that passes full verification.
   if (fs::exists(so, ec)) {
@@ -1142,6 +1255,14 @@ std::shared_ptr<const NativeKernel> NativeKernelCache::load_or_compile(
     *repaired = true;
     fs::remove(so, ec);
   }
+
+  fs::create_directories(dir, ec);
+  if (ec) {
+    *error = "cannot create cache dir " + dir.string() + ": " + ec.message();
+    return nullptr;
+  }
+  const fs::path cpp = dir / (hash + ".cpp");
+  const fs::path report = dir / (hash + ".json");
 
   // Publish the portability header the generated source includes.
   const fs::path header = dir / "citl_simd_portability.h";

@@ -10,7 +10,8 @@
 // libm/iteration sequences, and FP contraction is disabled at compile time.
 //
 // NativeKernelCache::get() turns that source into a callable: it is keyed by
-// a content hash (emitted source + compiler version + flags + ABI tag),
+// a content hash (emitted source + the portability header it includes +
+// compiler version + flags + SIMD arch + ABI tag),
 // memoised in-process, and persisted under a disk cache directory
 // ($CITL_KERNEL_CACHE_DIR, default /tmp/citl-kernel-cache-<uid>) holding
 // <hash>.cpp / <hash>.so / <hash>.json (a compilation report). A corrupt or
@@ -29,6 +30,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "cgra/machine.hpp"
@@ -71,6 +73,14 @@ struct NativeCtx {
 [[nodiscard]] std::string emit_kernel_source(const CompiledKernel& kernel,
                                              Precision precision,
                                              std::size_t lanes);
+
+/// The disk-cache key of emitted `source` compiled against portability
+/// `header` text: 32 hex digits over both, plus this process's compiler
+/// version, flags, SIMD arch and kNativeKernelAbi. get() keys every kernel
+/// with the embedded header (the one it publishes next to the source), so
+/// editing the header orphans every cached .so.
+[[nodiscard]] std::string native_cache_key(std::string_view source,
+                                           std::string_view header);
 
 /// A loaded generated kernel (owns the dlopen handle).
 class NativeKernel {

@@ -18,8 +18,9 @@
 //   kAuto        — kNative when a host compiler can be found, else kBytecode.
 //
 // The tier is a configuration knob (FrameworkConfig / TurnLoopConfig /
-// api::SessionConfig); a machine resolves kAuto and the no-compiler fallback
-// at construction and reports the tier it actually runs via exec_tier().
+// api::SessionConfig), kAuto by default; a machine resolves kAuto and the
+// no-compiler fallback at construction and reports the tier it actually
+// runs via exec_tier(). Pin kInterpreter to run the original engine.
 #pragma once
 
 #include <cstdint>

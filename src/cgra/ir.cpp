@@ -119,63 +119,74 @@ bool Dfg::has_pipeline_stages() const noexcept {
 }
 
 std::vector<NodeId> Dfg::intra_preds(NodeId id) const {
-  const Node& n = node(id);
   std::vector<NodeId> preds;
-  for (unsigned i = 0; i < n.arity(); ++i) {
-    const NodeId a = n.args[i];
-    if (!is_pipeline_edge(a, id)) preds.push_back(a);
-  }
-  for (NodeId d : n.order_deps) {
-    if (!is_pipeline_edge(d, id)) preds.push_back(d);
-  }
+  for_each_intra_pred(id, [&preds](NodeId p) { preds.push_back(p); });
   return preds;
 }
 
-std::vector<NodeId> Dfg::topo_order() const {
+Dfg::Successors Dfg::intra_successors() const {
   const std::size_t n = nodes_.size();
+  Successors t;
+  t.offset.assign(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for_each_intra_pred(static_cast<NodeId>(i), [&t](NodeId p) {
+      ++t.offset[static_cast<std::size_t>(p) + 1];
+    });
+  }
+  for (std::size_t v = 0; v < n; ++v) t.offset[v + 1] += t.offset[v];
+  t.succ.resize(t.offset[n]);
+  std::vector<std::size_t> fill(t.offset.begin(), t.offset.end() - 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    for_each_intra_pred(static_cast<NodeId>(i), [&](NodeId p) {
+      t.succ[fill[static_cast<std::size_t>(p)]++] = static_cast<NodeId>(i);
+    });
+  }
+  return t;
+}
+
+namespace {
+
+/// Kahn's algorithm over `t`, ready nodes processed in id order.
+std::vector<NodeId> topo_order_of(std::size_t n, const Dfg::Successors& t) {
   std::vector<int> indegree(n, 0);
-  std::vector<std::vector<NodeId>> succs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (NodeId p : intra_preds(static_cast<NodeId>(i))) {
-      succs[static_cast<std::size_t>(p)].push_back(static_cast<NodeId>(i));
-      ++indegree[i];
-    }
-  }
-  std::vector<NodeId> ready;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (indegree[i] == 0) ready.push_back(static_cast<NodeId>(i));
-  }
+  for (NodeId s : t.succ) ++indegree[static_cast<std::size_t>(s)];
   std::vector<NodeId> order;
   order.reserve(n);
-  // Process in id order within the ready set for determinism.
-  for (std::size_t head = 0; head < ready.size(); ++head) {
-    const NodeId v = ready[head];
-    order.push_back(v);
-    for (NodeId s : succs[static_cast<std::size_t>(v)]) {
-      if (--indegree[static_cast<std::size_t>(s)] == 0) ready.push_back(s);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (indegree[i] == 0) order.push_back(static_cast<NodeId>(i));
+  }
+  // `order` doubles as the FIFO ready queue: nodes are appended when their
+  // last predecessor is emitted.
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const auto v = static_cast<std::size_t>(order[head]);
+    for (std::size_t k = t.offset[v]; k < t.offset[v + 1]; ++k) {
+      if (--indegree[static_cast<std::size_t>(t.succ[k])] == 0) {
+        order.push_back(t.succ[k]);
+      }
     }
   }
   CITL_CHECK_MSG(order.size() == n, "dataflow graph has a combinational cycle");
   return order;
 }
 
+}  // namespace
+
+std::vector<NodeId> Dfg::topo_order() const {
+  return topo_order_of(nodes_.size(), intra_successors());
+}
+
 std::vector<unsigned> Dfg::criticality(const LatencyTable& lat) const {
-  const auto order = topo_order();
+  const Successors t = intra_successors();
+  const auto order = topo_order_of(nodes_.size(), t);
   std::vector<unsigned> crit(nodes_.size(), 0);
   // Walk in reverse topological order: crit(v) = latency(v) + max crit(succ).
-  std::vector<std::vector<NodeId>> succs(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    for (NodeId p : intra_preds(static_cast<NodeId>(i))) {
-      succs[static_cast<std::size_t>(p)].push_back(static_cast<NodeId>(i));
-    }
-  }
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId v = *it;
+    const auto v = static_cast<std::size_t>(*it);
     unsigned best = 0;
-    for (NodeId s : succs[static_cast<std::size_t>(v)]) {
-      best = std::max(best, crit[static_cast<std::size_t>(s)]);
+    for (std::size_t k = t.offset[v]; k < t.offset[v + 1]; ++k) {
+      best = std::max(best, crit[static_cast<std::size_t>(t.succ[k])]);
     }
-    crit[static_cast<std::size_t>(v)] = best + lat.of(nodes_[static_cast<std::size_t>(v)].kind);
+    crit[v] = best + lat.of(nodes_[v].kind);
   }
   return crit;
 }

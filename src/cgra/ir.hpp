@@ -103,6 +103,28 @@ class Dfg {
   /// whose edges do NOT cross the pipeline boundary.
   [[nodiscard]] std::vector<NodeId> intra_preds(NodeId id) const;
 
+  /// Calls `f(pred)` for each intra_preds(id) entry, in the same order
+  /// (operands, then order deps; duplicates kept), without allocating.
+  template <typename F>
+  void for_each_intra_pred(NodeId id, F&& f) const {
+    const Node& n = node(id);
+    for (unsigned i = 0; i < n.arity(); ++i) {
+      if (!is_pipeline_edge(n.args[i], id)) f(n.args[i]);
+    }
+    for (NodeId d : n.order_deps) {
+      if (!is_pipeline_edge(d, id)) f(d);
+    }
+  }
+
+  /// Intra-iteration successor lists in compressed form: the successors of
+  /// v are succ[offset[v] .. offset[v + 1]), consumers in ascending id
+  /// order, one entry per intra_preds() edge (duplicates kept).
+  struct Successors {
+    std::vector<std::size_t> offset;
+    std::vector<NodeId> succ;
+  };
+  [[nodiscard]] Successors intra_successors() const;
+
   /// Topological order of the intra-iteration DAG. Throws if cyclic.
   [[nodiscard]] std::vector<NodeId> topo_order() const;
 

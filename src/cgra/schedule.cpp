@@ -1,7 +1,7 @@
 #include "cgra/schedule.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
 #include <sstream>
 
 #include "cgra/lower.hpp"
@@ -13,64 +13,63 @@ namespace citl::cgra {
 
 namespace {
 
-/// Deterministic L-shaped route: rows first, then columns. Returns the PEs
-/// visited after leaving `from`, ending at `to` (empty when from == to).
-std::vector<PeId> route_path(PeId from, PeId to) {
-  std::vector<PeId> path;
-  PeId cur = from;
-  while (cur.row != to.row) {
+/// One step of the deterministic L-shaped route: rows first, then columns.
+PeId route_step(PeId cur, PeId to) {
+  if (cur.row != to.row) {
     cur.row += (to.row > cur.row) ? 1 : -1;
-    path.push_back(cur);
-  }
-  while (cur.col != to.col) {
+  } else {
     cur.col += (to.col > cur.col) ? 1 : -1;
-    path.push_back(cur);
   }
-  return path;
+  return cur;
 }
 
-/// Mutable occupancy tables used while scheduling.
+/// Mutable occupancy tables used while scheduling, flat (cycle x PE): a
+/// PE's busy flag and a route port's use count per cycle. Cycles past the
+/// table's end are free; reserving grows it.
 class Occupancy {
  public:
   explicit Occupancy(const CgraArch& arch)
-      : arch_(arch),
-        busy_(static_cast<std::size_t>(arch.pe_count())),
-        route_(static_cast<std::size_t>(arch.pe_count())) {}
+      : pes_(static_cast<std::size_t>(arch.pe_count())) {}
 
-  [[nodiscard]] bool pe_free(PeId pe, unsigned start, unsigned len) const {
-    const auto& b = busy_[static_cast<std::size_t>(arch_.index(pe))];
-    for (unsigned c = start; c < start + len; ++c) {
-      if (c < b.size() && b[c]) return false;
+  [[nodiscard]] bool pe_free(int pe, unsigned start, unsigned len) const {
+    const unsigned end = std::min(start + len, cycles());
+    for (unsigned c = start; c < end; ++c) {
+      if (busy_[at(c, pe)] != 0) return false;
     }
     return true;
   }
 
-  void reserve_pe(PeId pe, unsigned start, unsigned len) {
-    auto& b = busy_[static_cast<std::size_t>(arch_.index(pe))];
-    if (b.size() < start + len) b.resize(start + len, 0);
-    for (unsigned c = start; c < start + len; ++c) b[c] = 1;
+  void reserve_pe(int pe, unsigned start, unsigned len) {
+    grow(start + len);
+    for (unsigned c = start; c < start + len; ++c) busy_[at(c, pe)] = 1;
   }
 
-  [[nodiscard]] bool route_free(PeId pe, unsigned cycle) const {
-    const auto& r = route_[static_cast<std::size_t>(arch_.index(pe))];
-    return cycle >= r.size() || r[cycle] < arch_.route_ports_per_pe;
+  [[nodiscard]] unsigned route_used(int pe, unsigned cycle) const {
+    return cycle < cycles() ? route_[at(cycle, pe)] : 0u;
   }
 
-  [[nodiscard]] unsigned route_used(PeId pe, unsigned cycle) const {
-    const auto& r = route_[static_cast<std::size_t>(arch_.index(pe))];
-    return cycle < r.size() ? r[cycle] : 0u;
-  }
-
-  void reserve_route(PeId pe, unsigned cycle) {
-    auto& r = route_[static_cast<std::size_t>(arch_.index(pe))];
-    if (r.size() <= cycle) r.resize(cycle + 1, 0);
-    ++r[cycle];
+  void reserve_route(int pe, unsigned cycle) {
+    grow(cycle + 1);
+    ++route_[at(cycle, pe)];
   }
 
  private:
-  const CgraArch& arch_;
-  std::vector<std::vector<std::uint8_t>> busy_;
-  std::vector<std::vector<std::uint8_t>> route_;
+  [[nodiscard]] unsigned cycles() const noexcept {
+    return static_cast<unsigned>(busy_.size() / pes_);
+  }
+  [[nodiscard]] std::size_t at(unsigned cycle, int pe) const noexcept {
+    return static_cast<std::size_t>(cycle) * pes_ +
+           static_cast<std::size_t>(pe);
+  }
+  void grow(unsigned cycles_needed) {
+    if (cycles_needed <= cycles()) return;
+    busy_.resize(static_cast<std::size_t>(cycles_needed) * pes_, 0);
+    route_.resize(busy_.size(), 0);
+  }
+
+  std::size_t pes_;
+  std::vector<std::uint8_t> busy_;
+  std::vector<std::uint8_t> route_;
 };
 
 class ListScheduler {
@@ -85,17 +84,28 @@ class ListScheduler {
 
     const auto crit = dfg_.criticality(arch_.latency);
     const std::size_t n = dfg_.size();
+    const auto pes = static_cast<std::size_t>(arch_.pe_count());
     placement_.resize(n);
-    placed_.assign(n, false);
+    delivered_.assign(n * pes, kUndelivered);
 
-    // Remaining intra-iteration predecessor counts.
+    // Intra-iteration edges: `pending` counts each node's incoming edges
+    // (duplicates included, so a node becomes ready exactly when its last
+    // operand is placed); pred_[pred_offset_[v] .. pred_offset_[v + 1])
+    // holds v's predecessors sorted and deduplicated (a node may use the
+    // same value twice, x*x; one delivery suffices).
+    const Dfg::Successors succ = dfg_.intra_successors();
     std::vector<int> pending(n, 0);
-    std::vector<std::vector<NodeId>> succs(n);
+    for (NodeId s : succ.succ) ++pending[static_cast<std::size_t>(s)];
+    pred_offset_.assign(n + 1, 0);
+    pred_.clear();
     for (std::size_t i = 0; i < n; ++i) {
-      for (NodeId p : dfg_.intra_preds(static_cast<NodeId>(i))) {
-        ++pending[i];
-        succs[static_cast<std::size_t>(p)].push_back(static_cast<NodeId>(i));
-      }
+      const std::size_t first = pred_.size();
+      dfg_.for_each_intra_pred(static_cast<NodeId>(i),
+                               [this](NodeId p) { pred_.push_back(p); });
+      const auto begin = pred_.begin() + static_cast<std::ptrdiff_t>(first);
+      std::sort(begin, pred_.end());
+      pred_.erase(std::unique(begin, pred_.end()), pred_.end());
+      pred_offset_[i + 1] = pred_.size();
     }
 
     std::vector<NodeId> ready;
@@ -118,9 +128,10 @@ class ListScheduler {
       const NodeId v = ready[best];
       ready.erase(ready.begin() + static_cast<std::ptrdiff_t>(best));
       place(v);
-      placed_[static_cast<std::size_t>(v)] = true;
       ++scheduled;
-      for (NodeId s : succs[static_cast<std::size_t>(v)]) {
+      const auto vi = static_cast<std::size_t>(v);
+      for (std::size_t k = succ.offset[vi]; k < succ.offset[vi + 1]; ++k) {
+        const NodeId s = succ.succ[k];
         if (--pending[static_cast<std::size_t>(s)] == 0) ready.push_back(s);
       }
     }
@@ -150,6 +161,8 @@ class ListScheduler {
   }
 
  private:
+  static constexpr unsigned kUndelivered = ~0u;
+
   [[nodiscard]] unsigned cross_iteration_bound(const Schedule& sched,
                                                NodeId producer,
                                                NodeId consumer) const {
@@ -178,46 +191,56 @@ class ListScheduler {
     }
   }
 
+  /// delivered_ slot of (value, PE index): the cycle the value is known to
+  /// sit at that PE's input, or kUndelivered.
+  [[nodiscard]] unsigned& delivered(NodeId value, int pe) {
+    return delivered_[static_cast<std::size_t>(value) *
+                          static_cast<std::size_t>(arch_.pe_count()) +
+                      static_cast<std::size_t>(pe)];
+  }
+
   /// Earliest cycle at which `value` (already placed) can be delivered to
   /// `dest`, given route-port availability; appends the chosen forwarding
   /// slots to `hops` (not yet globally reserved). Slots already planned in
   /// `hops` for this candidate count against the port budget too — two
   /// operands of one node may contend for the same intermediate PE.
   [[nodiscard]] unsigned plan_delivery(NodeId value, PeId dest,
-                                       std::vector<RouteHop>* hops) const {
+                                       std::vector<RouteHop>* hops) {
     const auto& pp = placement_[static_cast<std::size_t>(value)];
-    const auto cached = delivered_.find({value, arch_.index(dest)});
-    if (cached != delivered_.end()) return cached->second;
-    const auto path = route_path(pp.pe, dest);
-    if (path.empty()) return pp.finish;  // produced in place
+    const unsigned cached = delivered(value, arch_.index(dest));
+    if (cached != kUndelivered) return cached;
+    const int path_len = CgraArch::distance(pp.pe, dest);
+    if (path_len == 0) return pp.finish;  // produced in place
+    // occ_.route_used plus the hops already planned for this candidate must
+    // leave a free port.
     auto slot_free = [&](PeId pe, unsigned cycle) {
-      if (!occ_.route_free(pe, cycle)) return false;
-      unsigned planned = 0;
+      unsigned used = occ_.route_used(arch_.index(pe), cycle);
       for (const RouteHop& h : *hops) {
-        if (h.pe == pe && h.cycle == cycle) ++planned;
+        if (h.pe == pe && h.cycle == cycle) ++used;
       }
-      // occ_.route_free only says "< ports"; planned hops eat the remainder.
-      unsigned used = occ_.route_used(pe, cycle);
-      return used + planned < arch_.route_ports_per_pe;
+      return used < arch_.route_ports_per_pe;
     };
     // Try increasing departure delays until all intermediate route ports
     // are free. The final hop lands in the consumer's input register and
     // does not occupy a route port.
     for (unsigned delay = 0;; ++delay) {
       bool ok = true;
-      for (std::size_t h = 0; h + 1 < path.size(); ++h) {
-        if (!slot_free(path[h],
-                       pp.finish + delay + static_cast<unsigned>(h) + 1)) {
+      PeId pe = pp.pe;
+      for (int h = 0; h + 1 < path_len; ++h) {
+        pe = route_step(pe, dest);
+        if (!slot_free(pe, pp.finish + delay + static_cast<unsigned>(h) + 1)) {
           ok = false;
           break;
         }
       }
       if (ok) {
-        for (std::size_t h = 0; h + 1 < path.size(); ++h) {
+        pe = pp.pe;
+        for (int h = 0; h + 1 < path_len; ++h) {
+          pe = route_step(pe, dest);
           hops->push_back(RouteHop{
-              value, path[h], pp.finish + delay + static_cast<unsigned>(h) + 1});
+              value, pe, pp.finish + delay + static_cast<unsigned>(h) + 1});
         }
-        return pp.finish + delay + static_cast<unsigned>(path.size());
+        return pp.finish + delay + static_cast<unsigned>(path_len);
       }
       CITL_CHECK_MSG(delay < 4096, "routing livelock");
     }
@@ -227,57 +250,69 @@ class ListScheduler {
     const Node& node = dfg_.node(v);
     const unsigned lat = arch_.latency.of(node.kind);
     const OpClass cls = op_class(node.kind);
-
-    auto preds = dfg_.intra_preds(v);
-    // A node may use the same value twice (x*x); one delivery suffices.
-    std::sort(preds.begin(), preds.end());
-    preds.erase(std::unique(preds.begin(), preds.end()), preds.end());
+    const auto vi = static_cast<std::size_t>(v);
+    const NodeId* preds = pred_.data() + pred_offset_[vi];
+    const NodeId* preds_end = pred_.data() + pred_offset_[vi + 1];
 
     unsigned best_start = ~0u;
-    PeId best_pe{};
-    std::vector<RouteHop> best_hops;
+    int best_idx = -1;
+    best_hops_.clear();
 
     for (int idx = 0; idx < arch_.pe_count(); ++idx) {
+      if (!arch_.pes[static_cast<std::size_t>(idx)].supports(cls)) continue;
       const PeId pe = arch_.pe_at(idx);
-      if (!arch_.caps(pe).supports(cls)) continue;
+      // Every operand arrives no earlier than its producer's finish plus the
+      // hop distance (a cached delivery is never earlier either), so a PE
+      // whose bound already exceeds the best start cannot win: skip it
+      // before planning any route.
+      unsigned bound = 0;
+      for (const NodeId* p = preds; p != preds_end; ++p) {
+        const Placement& pp = placement_[static_cast<std::size_t>(*p)];
+        bound = std::max(bound, pp.finish + static_cast<unsigned>(
+                                                CgraArch::distance(pp.pe, pe)));
+      }
+      if (bound > best_start) continue;
 
-      std::vector<RouteHop> hops;
+      cand_hops_.clear();
       unsigned lb = 0;
-      for (NodeId p : preds) {
-        lb = std::max(lb, plan_delivery(p, pe, &hops));
+      for (const NodeId* p = preds; p != preds_end; ++p) {
+        lb = std::max(lb, plan_delivery(*p, pe, &cand_hops_));
       }
       unsigned t = lb;
-      while (!occ_.pe_free(pe, t, lat)) ++t;
+      while (t <= best_start && !occ_.pe_free(idx, t, lat)) ++t;
       if (t < best_start ||
-          (t == best_start && hops.size() < best_hops.size())) {
+          (t == best_start && cand_hops_.size() < best_hops_.size())) {
         best_start = t;
-        best_pe = pe;
-        best_hops = std::move(hops);
+        best_idx = idx;
+        std::swap(best_hops_, cand_hops_);
       }
     }
     CITL_CHECK_MSG(best_start != ~0u, "no feasible PE for node");
 
-    occ_.reserve_pe(best_pe, best_start, lat);
-    for (const RouteHop& h : best_hops) {
-      occ_.reserve_route(h.pe, h.cycle);
+    occ_.reserve_pe(best_idx, best_start, lat);
+    for (const RouteHop& h : best_hops_) {
+      occ_.reserve_route(arch_.index(h.pe), h.cycle);
       hops_.push_back(h);
     }
-    for (NodeId p : preds) {
-      delivered_[{p, arch_.index(best_pe)}] =
-          std::max(placement_[static_cast<std::size_t>(p)].finish,
+    for (const NodeId* p = preds; p != preds_end; ++p) {
+      delivered(*p, best_idx) =
+          std::max(placement_[static_cast<std::size_t>(*p)].finish,
                    best_start);  // conservative: value parked at input
     }
-    placement_[static_cast<std::size_t>(v)] =
-        Placement{best_pe, best_start, best_start + lat};
+    placement_[vi] = Placement{arch_.pe_at(best_idx), best_start,
+                               best_start + lat};
   }
 
   const Dfg& dfg_;
   const CgraArch& arch_;
   Occupancy occ_;
   std::vector<Placement> placement_;
-  std::vector<bool> placed_;
   std::vector<RouteHop> hops_;
-  std::map<std::pair<NodeId, int>, unsigned> delivered_;
+  std::vector<unsigned> delivered_;  ///< (value x PE index), see delivered()
+  std::vector<std::size_t> pred_offset_;
+  std::vector<NodeId> pred_;
+  std::vector<RouteHop> cand_hops_;  ///< reused per candidate PE
+  std::vector<RouteHop> best_hops_;
 };
 
 }  // namespace
@@ -309,11 +344,14 @@ CompiledKernel compile_kernel(std::string_view source, const CgraArch& arch,
   }
   k.arch = arch;
   k.schedule = schedule_dfg(k.dfg, arch);
-  obs::Registry::global().counter("cgra.compilations").add();
-  obs::Registry::global()
-      .histogram("cgra.schedule_length_cycles",
-                 {16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0})
-      .observe(static_cast<double>(k.schedule.length));
+  // Registered once per process: the registry's handles are stable.
+  static obs::Counter& compilations =
+      obs::Registry::global().counter("cgra.compilations");
+  static obs::Histogram& lengths = obs::Registry::global().histogram(
+      "cgra.schedule_length_cycles",
+      {16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0});
+  compilations.add();
+  lengths.observe(static_cast<double>(k.schedule.length));
   return k;
 }
 
@@ -321,8 +359,13 @@ void verify_schedule(const Dfg& dfg, const CgraArch& arch,
                      const Schedule& schedule) {
   CITL_CHECK_MSG(schedule.placement.size() == dfg.size(),
                  "placement size mismatch");
+  // (PE index, cycle) slots as sorted 64-bit keys: memory stays bounded by
+  // the slots used, whatever cycles a loaded bitstream claims.
+  auto slot_key = [&arch](PeId pe, unsigned cycle) {
+    return (static_cast<std::uint64_t>(arch.index(pe)) << 32) | cycle;
+  };
   // Capability + latency + PE exclusivity.
-  std::map<std::pair<int, unsigned>, int> pe_busy;  // (pe index, cycle) -> node
+  std::vector<std::uint64_t> slots;
   for (std::size_t i = 0; i < dfg.size(); ++i) {
     const Node& n = dfg.node(static_cast<NodeId>(i));
     const Placement& p = schedule.placement[i];
@@ -331,27 +374,35 @@ void verify_schedule(const Dfg& dfg, const CgraArch& arch,
     CITL_CHECK_MSG(p.finish == p.start + arch.latency.of(n.kind),
                    "placement latency mismatch");
     for (unsigned c = p.start; c < p.finish; ++c) {
-      const auto key = std::make_pair(arch.index(p.pe), c);
-      CITL_CHECK_MSG(!pe_busy.contains(key), "two ops overlap on one PE");
-      pe_busy[key] = static_cast<int>(i);
+      slots.push_back(slot_key(p.pe, c));
     }
   }
+  std::sort(slots.begin(), slots.end());
+  CITL_CHECK_MSG(std::adjacent_find(slots.begin(), slots.end()) == slots.end(),
+                 "two ops overlap on one PE");
   // Precedence with routing distance for intra-iteration edges.
   for (std::size_t i = 0; i < dfg.size(); ++i) {
     const Placement& pc = schedule.placement[i];
-    for (NodeId pred : dfg.intra_preds(static_cast<NodeId>(i))) {
+    dfg.for_each_intra_pred(static_cast<NodeId>(i), [&](NodeId pred) {
       const Placement& pp = schedule.placement[static_cast<std::size_t>(pred)];
       const int d = CgraArch::distance(pp.pe, pc.pe);
       CITL_CHECK_MSG(pc.start >= pp.finish + static_cast<unsigned>(d),
                      "operand not deliverable before consumer start");
-    }
+    });
   }
   // Route-port limits.
-  std::map<std::pair<int, unsigned>, unsigned> route_count;
+  slots.clear();
   for (const RouteHop& h : schedule.hops) {
-    const auto key = std::make_pair(arch.index(h.pe), h.cycle);
-    CITL_CHECK_MSG(++route_count[key] <= arch.route_ports_per_pe,
+    (void)arch.caps(h.pe);  // range check
+    slots.push_back(slot_key(h.pe, h.cycle));
+  }
+  std::sort(slots.begin(), slots.end());
+  for (std::size_t i = 0; i < slots.size();) {
+    std::size_t j = i + 1;
+    while (j < slots.size() && slots[j] == slots[i]) ++j;
+    CITL_CHECK_MSG(j - i <= arch.route_ports_per_pe,
                    "route port oversubscribed");
+    i = j;
   }
   // Cross-iteration closure.
   auto check_cross = [&](NodeId producer, NodeId consumer) {

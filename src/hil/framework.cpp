@@ -123,15 +123,18 @@ Framework::Framework(const FrameworkConfig& config,
                      std::shared_ptr<const cgra::CompiledKernel> kernel)
     : config_(config),
       kernel_(std::move(kernel)),
-      ref_dds_(kSampleClock, config.f_ref_hz, config.ref_amplitude_v),
+      // One sine table, built once and shared by all three DDSs.
+      ref_dds_(kSampleClock, config.f_ref_hz, config.ref_amplitude_v,
+               sig::Dds::make_sine_table()),
       gap_dds_(kSampleClock,
                config.f_ref_hz *
                    static_cast<double>(config.kernel.ring.harmonic),
-               config.gap_amplitude_v),
+               config.gap_amplitude_v, ref_dds_.sine_table()),
       gap2_dds_(kSampleClock,
                 2.0 * config.f_ref_hz *
                     static_cast<double>(config.kernel.ring.harmonic),
-                config.gap_amplitude_v * std::abs(config.gap_h2_ratio)),
+                config.gap_amplitude_v * std::abs(config.gap_h2_ratio),
+                ref_dds_.sine_table()),
       adc_ref_(sig::Adc::fmc151(config.adc_noise_rms_v,
                                 adc_seed(11, config.noise_seed))),
       adc_gap_(sig::Adc::fmc151(config.adc_noise_rms_v,

@@ -83,9 +83,10 @@ struct FrameworkConfig {
   std::optional<ctrl::PhaseJumpProgramme> jumps;
   bool cycle_accurate_cgra = false;
   /// Kernel execution back end (cgra/exec_tier.hpp). All tiers are
-  /// bit-identical; kAuto picks native codegen when a host compiler exists.
-  /// The cycle-accurate mode always interprets regardless of this knob.
-  cgra::ExecTier exec_tier = cgra::ExecTier::kInterpreter;
+  /// bit-identical; the default kAuto picks native codegen when a host
+  /// compiler exists (else bytecode). The cycle-accurate mode always
+  /// interprets regardless of this knob.
+  cgra::ExecTier exec_tier = cgra::ExecTier::kAuto;
   /// Scripted fault campaign, in converter ticks (empty = healthy run; the
   /// loop is byte-identical to a build without the injector).
   fault::FaultPlan faults;

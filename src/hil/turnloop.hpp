@@ -53,9 +53,10 @@ struct TurnLoopConfig {
   std::optional<ctrl::PhaseJumpProgramme> jumps;
   bool cycle_accurate = false;         ///< run the CGRA cycle-by-cycle
   /// Kernel execution back end (cgra/exec_tier.hpp). All tiers are
-  /// bit-identical; kAuto picks native codegen when a host compiler exists.
-  /// The cycle-accurate mode always interprets regardless of this knob.
-  cgra::ExecTier exec_tier = cgra::ExecTier::kInterpreter;
+  /// bit-identical; the default kAuto picks native codegen when a host
+  /// compiler exists (else bytecode). The cycle-accurate mode always
+  /// interprets regardless of this knob.
+  cgra::ExecTier exec_tier = cgra::ExecTier::kAuto;
   /// Use the CORDIC waveform-synthesis kernel instead of the sampled one:
   /// the gap voltage is computed on-chip from v_hat/gap_phase parameters.
   bool synthesize_waveform = false;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/simtime.hpp"
@@ -16,11 +17,24 @@ namespace citl::sig {
 /// Phase-accumulator DDS clocked by a ClockDomain.
 class Dds {
  public:
+  /// An immutable sine table, one period in 2^lut_bits entries. DDSs built
+  /// from the same table share it.
+  using SineTable = std::shared_ptr<const std::vector<double>>;
+
+  /// Builds the table a DDS with `lut_bits` uses (2^lut_bits std::sin
+  /// calls: build it once and share it between DDSs of one size).
+  [[nodiscard]] static SineTable make_sine_table(unsigned lut_bits = 14);
+
   /// `lut_bits` selects the sine table size (2^lut_bits entries); the
   /// accumulator itself is 48 bits, giving sub-µHz tuning resolution at
   /// 250 MHz, far below any effect we measure.
   Dds(ClockDomain clock, double frequency_hz, double amplitude_v,
       unsigned lut_bits = 14);
+
+  /// The same DDS over a table from make_sine_table(); its size sets
+  /// lut_bits. Output is bit-identical to a DDS that built its own.
+  Dds(ClockDomain clock, double frequency_hz, double amplitude_v,
+      SineTable table);
 
   /// Advances one clock tick and returns the output voltage.
   double tick() noexcept;
@@ -45,6 +59,8 @@ class Dds {
   void reset_phase() noexcept { accumulator_ = 0; }
 
   [[nodiscard]] double frequency_hz() const noexcept { return frequency_hz_; }
+  /// The sine table this DDS reads (pass it to another DDS to share it).
+  [[nodiscard]] const SineTable& sine_table() const noexcept { return table_; }
   [[nodiscard]] double amplitude_v() const noexcept { return amplitude_v_; }
 
   /// Instantaneous phase [rad) in [0, 2π), including the offset.
@@ -60,8 +76,13 @@ class Dds {
   std::uint64_t accumulator_ = 0;
   std::uint64_t tuning_word_ = 0;
   std::uint64_t offset_word_ = 0;
-  unsigned lut_bits_;
-  std::vector<double> lut_;
+  SineTable table_;
+  // Per-tick lookup constants, fixed by the table size.
+  const double* lut_ = nullptr;   ///< table_->data()
+  std::uint64_t idx_mask_ = 0;    ///< table entries - 1
+  unsigned shift_ = 0;            ///< accumulator bits below the table index
+  std::uint64_t frac_mask_ = 0;   ///< those bits
+  double frac_scale_ = 0.0;       ///< 2^-shift_ (exact)
 
   void retune() noexcept;
   [[nodiscard]] double lookup(std::uint64_t acc) const noexcept;

@@ -8,10 +8,12 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -274,13 +276,25 @@ class ScopedCacheDir {
       : dir_(::testing::TempDir() + name) {
     // TempDir() is stable across runs — start empty so "cold" means cold.
     std::filesystem::remove_all(dir_);
+    if (const char* prev = std::getenv("CITL_KERNEL_CACHE_DIR")) {
+      previous_ = prev;
+      had_previous_ = true;
+    }
     ::setenv("CITL_KERNEL_CACHE_DIR", dir_.c_str(), 1);
   }
-  ~ScopedCacheDir() { ::unsetenv("CITL_KERNEL_CACHE_DIR"); }
+  ~ScopedCacheDir() {
+    if (had_previous_) {
+      ::setenv("CITL_KERNEL_CACHE_DIR", previous_.c_str(), 1);
+    } else {
+      ::unsetenv("CITL_KERNEL_CACHE_DIR");
+    }
+  }
   [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
 
  private:
   std::string dir_;
+  std::string previous_;
+  bool had_previous_ = false;
 };
 
 TEST(CodegenCache, ColdCompileThenWarmDiskHit) {
@@ -353,6 +367,40 @@ TEST(CodegenCache, CorruptSharedObjectIsRepaired) {
                               100);
 }
 
+TEST(CodegenCache, KeyCoversThePortabilityHeader) {
+  // The generated source #includes citl_simd_portability.h, so a header
+  // edit must change the key even when the emitted source does not —
+  // otherwise a stale .so built against the old header would be reused.
+  const CompiledKernel kernel =
+      compile_kernel(demo_oscillator_source(), grid_5x5(), "demo_oscillator");
+  const std::string source = emit_kernel_source(kernel, Precision::kFloat64, 4);
+  const std::string header = "#define CITL_VD_WIDTH 4\n";
+  std::string edited = header;
+  edited[edited.size() - 2] = '2';
+  EXPECT_EQ(native_cache_key(source, header), native_cache_key(source, header));
+  EXPECT_NE(native_cache_key(source, header), native_cache_key(source, edited));
+  EXPECT_NE(native_cache_key(source, header),
+            native_cache_key(source, header + "\n"));
+  EXPECT_EQ(native_cache_key(source, header).size(), 32u);
+  if (!native_available()) return;
+
+  // get() files the kernel under the key of the header it publishes.
+  ScopedCacheDir cache_dir("citl_codegen_header_key");
+  auto& cache = NativeKernelCache::global();
+  cache.clear_memory();
+  auto k = cache.get(kernel, Precision::kFloat64, 4);
+  ASSERT_NE(k, nullptr) << cache.last_error();
+  std::ifstream in(cache_dir.dir() + "/citl_simd_portability.h",
+                   std::ios::binary);
+  const std::string published((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+  ASSERT_FALSE(published.empty());
+  EXPECT_EQ(k->hash(), native_cache_key(source, published));
+  EXPECT_NE(k->hash(), native_cache_key(source, published + " "));
+  k.reset();
+  cache.clear_memory();
+}
+
 // --- fallback ---------------------------------------------------------------
 
 // Compiler discovery is memoised once per process, so forcing the
@@ -408,6 +456,9 @@ TEST(CodegenFallback, ChildResolvesBytecode) {
 
 TEST(CodegenConfig, TierRoundTripsThroughWireAndDigest) {
   api::SessionConfig a = api::paper_operating_point();
+  // Pinned: the default is kAuto, and the point is that the tier changes the
+  // digest.
+  a.exec_tier = ExecTier::kInterpreter;
   api::SessionConfig b = a;
   b.exec_tier = ExecTier::kAuto;
   EXPECT_NE(api::session_config_digest(a), api::session_config_digest(b));
@@ -433,6 +484,212 @@ TEST(CodegenConfig, TierNamesRoundTrip) {
   }
   ExecTier parsed{};
   EXPECT_FALSE(parse_exec_tier("jit", &parsed));
+}
+
+// --- golden schedules and emitted sources -----------------------------------
+
+/// FNV-1a 64 over `n` bytes: a compact, deterministic digest for the golden
+/// table below (not the cache key).
+std::uint64_t golden_fnv(const void* data, std::size_t n,
+                         std::uint64_t h = 14695981039346656037ull) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Every placement (PE, start, finish) and every route hop (value, PE,
+/// cycle) of a schedule, in order.
+std::uint64_t placement_digest(const Schedule& s) {
+  std::uint64_t h = golden_fnv(nullptr, 0);
+  auto word = [&h](long v) {
+    const auto w = static_cast<std::int64_t>(v);
+    h = golden_fnv(&w, sizeof w, h);
+  };
+  for (const Placement& p : s.placement) {
+    word(p.pe.row);
+    word(p.pe.col);
+    word(p.start);
+    word(p.finish);
+  }
+  for (const RouteHop& r : s.hops) {
+    word(r.value);
+    word(r.pe.row);
+    word(r.pe.col);
+    word(r.cycle);
+  }
+  return h;
+}
+
+struct GoldenKernel {
+  const char* label;
+  unsigned length;
+  std::uint64_t placement;
+  /// emit_kernel_source digests: f32 x {1, 4, 8} lanes, then f64 x {1, 4, 8}.
+  std::uint64_t source[6];
+};
+
+/// Every stock kernel: beam sampled/analytic x {1, 4, 8} bunches x
+/// pipelined x interpolate on grid_5x5, plus ramp and demo (grid_5x5) and
+/// cavity_iq_servo (grid_4x4).
+std::vector<KernelCase> golden_cases() {
+  std::vector<KernelCase> cases;
+  for (const bool analytic : {false, true}) {
+    for (const int bunches : {1, 4, 8}) {
+      for (const bool pipelined : {false, true}) {
+        for (const bool interpolate : {false, true}) {
+          BeamKernelConfig kc;
+          kc.n_bunches = bunches;
+          kc.pipelined = pipelined;
+          kc.interpolate = interpolate;
+          const std::string label =
+              std::string(analytic ? "analytic" : "sampled") + "_b" +
+              std::to_string(bunches) + (pipelined ? "_pipe" : "_plain") +
+              (interpolate ? "_interp" : "_nearest");
+          cases.push_back(
+              {label, analytic ? compile_kernel(analytic_beam_kernel_source(kc),
+                                                grid_5x5(), "beam_analytic")
+                               : compile_kernel(beam_kernel_source(kc),
+                                                grid_5x5(), "beam_sampled")});
+        }
+      }
+    }
+  }
+  const BeamKernelConfig kc;
+  cases.push_back({"ramp", compile_kernel(ramp_beam_kernel_source(kc),
+                                          grid_5x5(), "beam_ramp")});
+  cases.push_back({"demo", compile_kernel(demo_oscillator_source(), grid_5x5(),
+                                          "demo_oscillator")});
+  cases.push_back({"cavity_iq_servo",
+                   compile_kernel(cavity_iq_servo_source(), grid_4x4(),
+                                  "cavity_iq_servo")});
+  return cases;
+}
+
+// Generated from the list scheduler and emitter before their allocation-free
+// rewrites; the rewrites must reproduce every byte. On a mismatch the test
+// prints the row the current code produces.
+const GoldenKernel kGolden[] = {
+    {"sampled_b1_plain_nearest", 136, 0x384e7063d310388bull,
+     {0x1f13cb83b6ac94c4ull, 0xd1ea73767dd134faull, 0xe968ff3ff19bc500ull,
+      0xc12472435a0220b7ull, 0x052538a1a6b0d2ffull, 0xd425093decc09599ull}},
+    {"sampled_b1_plain_interp", 144, 0xf2871d7aa9958105ull,
+     {0xda2fd546bf7cc85dull, 0x4c422e090cb89c49ull, 0xfb8d9bf99ab21e9eull,
+      0x560d011263903d80ull, 0xb11c85c5ec2b419cull, 0x11c5380a89a38d0dull}},
+    {"sampled_b1_pipe_nearest", 74, 0xa019e0d25113b466ull,
+     {0xb4bc43025a0db36aull, 0x8752add75d3ae191ull, 0x48eafa8cfae4abaaull,
+      0x604b6937e0c9f39bull, 0xbffb96bc49c2a1aaull, 0xede0a414ecab0bc7ull}},
+    {"sampled_b1_pipe_interp", 87, 0x14d0bbe3d8fab3c5ull,
+     {0xe25eeb4d1d1b77d1ull, 0x75e4f88aaeb7959dull, 0x8b415bb07afc607full,
+      0x982bfc485bbdfcb2ull, 0x09be3379d335f08cull, 0x16b34da594ae4664ull}},
+    {"sampled_b4_plain_nearest", 136, 0x7c2ad0b17453b6eeull,
+     {0x827070026026f8aaull, 0x5a27765ae5286ad8ull, 0x6cc310bde86acd79ull,
+      0xce6046fb5f7df561ull, 0x247125919dbb1e7dull, 0xf30efa47f62339aeull}},
+    {"sampled_b4_plain_interp", 147, 0xd9ec3f909a8d0329ull,
+     {0xbaf99bc49f7cf861ull, 0x32cef0aebaf05474ull, 0x4ab17b9836bfed8dull,
+      0xe6c402bd226e935cull, 0xa05ea85395b4880bull, 0xde55f7bfa0e45fecull}},
+    {"sampled_b4_pipe_nearest", 82, 0xd20018e33e50c375ull,
+     {0xa98999a61c0ca926ull, 0x02a5569326afeaceull, 0x7fa1f1c4539303d3ull,
+      0x5dc44d4c6379b199ull, 0xee872d39399f0ef7ull, 0xe117a176a2cd404cull}},
+    {"sampled_b4_pipe_interp", 98, 0x28056d5cf78922eeull,
+     {0xa8dc8e68105014efull, 0x8e142bea21bee67aull, 0xba611cabab330099ull,
+      0xa840210b71ccf94eull, 0xb31c79c12bf740cdull, 0x2daeeca179f6aab6ull}},
+    {"sampled_b8_plain_nearest", 140, 0x3ee965e0f84ce9d9ull,
+     {0xa04e06d1a396d5fbull, 0xb7b079f7816f1729ull, 0x9a3e6cb4c71bb129ull,
+      0x9ed33cce5970c46aull, 0x3250a05dd4696500ull, 0x4447ad2e2cf3dadaull}},
+    {"sampled_b8_plain_interp", 150, 0x02b6e61c698d3bb6ull,
+     {0x892570b4284f5d14ull, 0x4633031b99a4b6baull, 0x69a3f81c1f2b4c62ull,
+      0x03eedf52846cf65dull, 0xa497fc8e7cea272dull, 0xf67c4b3582715493ull}},
+    {"sampled_b8_pipe_nearest", 93, 0x4fabc4299caec0a4ull,
+     {0x9b88eae38125abc3ull, 0x613b34c8becda1baull, 0x80d746f33dd64355ull,
+      0x07c6863935904392ull, 0xa3c322dd2d03bacbull, 0xe05ed504e424b59aull}},
+    {"sampled_b8_pipe_interp", 116, 0xff6878a12091be27ull,
+     {0xce8d116c5413e7f8ull, 0x1dc179bbbb00c351ull, 0xa09b6c862eb8b2a5ull,
+      0xb2e7063c3629b3ffull, 0x176db7a39792480eull, 0x337e94846608f1d2ull}},
+    {"analytic_b1_plain_nearest", 96, 0x7d9cbe5afda2d1e3ull,
+     {0xa3e1a64b5a131f72ull, 0x7c4026929648dad2ull, 0xd8e033db18771b7bull,
+      0xc13e15d43604b44bull, 0x72c2c582e36f9aadull, 0xbb0af220b464a75eull}},
+    {"analytic_b1_plain_interp", 96, 0x7d9cbe5afda2d1e3ull,
+     {0xa3e1a64b5a131f72ull, 0x7c4026929648dad2ull, 0xd8e033db18771b7bull,
+      0xc13e15d43604b44bull, 0x72c2c582e36f9aadull, 0xbb0af220b464a75eull}},
+    {"analytic_b1_pipe_nearest", 82, 0x29fc4c2b5d59bbaeull,
+     {0xcf7a46bd857f11e8ull, 0x9f661ff0c9f159b4ull, 0x77854f83484c895full,
+      0xe66591c62e4534adull, 0xea8aa27b03fd7eefull, 0xcc1e2efb7e51474aull}},
+    {"analytic_b1_pipe_interp", 82, 0x29fc4c2b5d59bbaeull,
+     {0xcf7a46bd857f11e8ull, 0x9f661ff0c9f159b4ull, 0x77854f83484c895full,
+      0xe66591c62e4534adull, 0xea8aa27b03fd7eefull, 0xcc1e2efb7e51474aull}},
+    {"analytic_b4_plain_nearest", 97, 0x69a09eeb8746778bull,
+     {0x1813cbb078c28e77ull, 0x743a3e4a99ca57eaull, 0x9ac9718ffd780331ull,
+      0x1832f064768f8cf8ull, 0x8b4a8f3fe1c647f3ull, 0x1fb584a1d36c929eull}},
+    {"analytic_b4_plain_interp", 97, 0x69a09eeb8746778bull,
+     {0x1813cbb078c28e77ull, 0x743a3e4a99ca57eaull, 0x9ac9718ffd780331ull,
+      0x1832f064768f8cf8ull, 0x8b4a8f3fe1c647f3ull, 0x1fb584a1d36c929eull}},
+    {"analytic_b4_pipe_nearest", 84, 0x9dd9918e059ce589ull,
+     {0xfc1abac8fcdba873ull, 0x023edf3f3aa75cb2ull, 0xdbd6769ae452b505ull,
+      0x9576f26250384eeaull, 0x806e13962d366761ull, 0xba32c85ffeef62f8ull}},
+    {"analytic_b4_pipe_interp", 84, 0x9dd9918e059ce589ull,
+     {0xfc1abac8fcdba873ull, 0x023edf3f3aa75cb2ull, 0xdbd6769ae452b505ull,
+      0x9576f26250384eeaull, 0x806e13962d366761ull, 0xba32c85ffeef62f8ull}},
+    {"analytic_b8_plain_nearest", 115, 0xdb7d2fe396fb7d7cull,
+     {0x59e71b6936fbe18aull, 0x0c5179ea26c523eeull, 0x6a8801403367a321ull,
+      0x75a9c2d37f7dc67dull, 0xa27258bab57bb80bull, 0x379e0a0a6db06900ull}},
+    {"analytic_b8_plain_interp", 115, 0xdb7d2fe396fb7d7cull,
+     {0x59e71b6936fbe18aull, 0x0c5179ea26c523eeull, 0x6a8801403367a321ull,
+      0x75a9c2d37f7dc67dull, 0xa27258bab57bb80bull, 0x379e0a0a6db06900ull}},
+    {"analytic_b8_pipe_nearest", 99, 0xaeb13bac62f4d7abull,
+     {0xf09c50c92f2f1cd0ull, 0x0c2f25dce80985c2ull, 0xda362200543753e7ull,
+      0x1ce0be24897b574dull, 0x1b084c6e7c42bd3dull, 0x1bef152ec28858f0ull}},
+    {"analytic_b8_pipe_interp", 99, 0xaeb13bac62f4d7abull,
+     {0xf09c50c92f2f1cd0ull, 0x0c2f25dce80985c2ull, 0xda362200543753e7ull,
+      0x1ce0be24897b574dull, 0x1b084c6e7c42bd3dull, 0x1bef152ec28858f0ull}},
+    {"ramp", 98, 0xfaff0ef31f25cd65ull,
+     {0xda8b61f6c6f12f1dull, 0x672b9affc24a1c60ull, 0x631bbc87777a80e2ull,
+      0x2442e7b9767f83f2ull, 0x48787ea1155c7cf7ull, 0xb297e50f6a96efd7ull}},
+    {"demo", 47, 0x9a8e88c8311d23e7ull,
+     {0x1f2fcfd3ae9701e0ull, 0x25037eba62dfc460ull, 0xc71a17a09fdd91e7ull,
+      0xf0386f46b7451d6cull, 0xb08a071d437eec58ull, 0xadae95964c700adfull}},
+    {"cavity_iq_servo", 106, 0x10d89bb75d4fd4a1ull,
+     {0x284202517f29807cull, 0x164956ebcc5b76faull, 0x4beac50313825699ull,
+      0xb81b3e95141de0e3ull, 0x323b55edfb5d362full, 0x2298421c14a73012ull}},
+};
+
+TEST(CodegenGolden, StockKernelSchedulesAndSourcesAreByteIdentical) {
+  const std::vector<KernelCase> cases = golden_cases();
+  ASSERT_EQ(cases.size(), std::size(kGolden));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const CompiledKernel& k = cases[i].kernel;
+    GoldenKernel got{};
+    got.length = k.schedule.length;
+    got.placement = placement_digest(k.schedule);
+    int slot = 0;
+    for (const Precision p : {Precision::kFloat32, Precision::kFloat64}) {
+      for (const std::size_t lanes : {1, 4, 8}) {
+        const std::string src = emit_kernel_source(k, p, lanes);
+        got.source[slot++] = golden_fnv(src.data(), src.size());
+      }
+    }
+    char row[512];
+    std::snprintf(row, sizeof row,
+                  "    {\"%s\", %u, 0x%016llxull,\n"
+                  "     {0x%016llxull, 0x%016llxull, 0x%016llxull,\n"
+                  "      0x%016llxull, 0x%016llxull, 0x%016llxull}},",
+                  cases[i].label.c_str(), got.length,
+                  static_cast<unsigned long long>(got.placement),
+                  static_cast<unsigned long long>(got.source[0]),
+                  static_cast<unsigned long long>(got.source[1]),
+                  static_cast<unsigned long long>(got.source[2]),
+                  static_cast<unsigned long long>(got.source[3]),
+                  static_cast<unsigned long long>(got.source[4]),
+                  static_cast<unsigned long long>(got.source[5]));
+    const GoldenKernel& want = kGolden[i];
+    SCOPED_TRACE(std::string("current row:\n") + row);
+    EXPECT_EQ(cases[i].label, want.label);
+    EXPECT_EQ(got.length, want.length);
+    EXPECT_EQ(got.placement, want.placement);
+    for (int s = 0; s < 6; ++s) EXPECT_EQ(got.source[s], want.source[s]);
+  }
 }
 
 // --- the oracle over the codegen engine -------------------------------------

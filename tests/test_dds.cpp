@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <vector>
 
 #include "core/simtime.hpp"
 #include "core/units.hpp"
@@ -112,6 +115,37 @@ TEST(DdsTest, HarmonicRelationship) {
 TEST(DdsTest, RejectsNyquistViolation) {
   EXPECT_THROW(Dds(kSampleClock, 130.0e6, 1.0), std::logic_error);
   EXPECT_THROW(Dds(kSampleClock, -1.0, 1.0), std::logic_error);
+}
+
+TEST(DdsTest, SharedSineTableIsBitIdenticalToOwnTable) {
+  // Framework builds one table and hands it to all three of its DDSs; each
+  // must tick out exactly what a DDS with its own table produces.
+  const Dds::SineTable table = Dds::make_sine_table();
+  Dds own(kSampleClock, 3.2e6, 0.8);
+  Dds shared(kSampleClock, 3.2e6, 0.8, table);
+  Dds own_h2(kSampleClock, 6.4e6, 0.3);
+  Dds shared_h2(kSampleClock, 6.4e6, 0.3, shared.sine_table());
+  EXPECT_EQ(shared.sine_table(), shared_h2.sine_table());
+  EXPECT_EQ(*own.sine_table(), *table);
+  for (int i = 0; i < 100'000; ++i) {
+    if (i % 9973 == 0) {
+      const double rad = 1.0e-3 * static_cast<double>(i);
+      own.set_phase_offset(rad);
+      shared.set_phase_offset(rad);
+      own_h2.set_phase_offset(-2.0 * rad);
+      shared_h2.set_phase_offset(-2.0 * rad);
+    }
+    const double a = own.tick();
+    const double b = shared.tick();
+    ASSERT_EQ(std::memcmp(&a, &b, sizeof a), 0) << "tick " << i;
+    const double c = own_h2.tick();
+    const double d = shared_h2.tick();
+    ASSERT_EQ(std::memcmp(&c, &d, sizeof c), 0) << "h2 tick " << i;
+  }
+  EXPECT_THROW(Dds(kSampleClock, 3.2e6, 0.8, nullptr), std::logic_error);
+  EXPECT_THROW(Dds(kSampleClock, 3.2e6, 0.8,
+                   std::make_shared<const std::vector<double>>(1000)),
+               std::logic_error);
 }
 
 TEST(DdsTest, SubMilliHzTuningResolution) {

@@ -23,8 +23,10 @@
 
 #include "api/api.hpp"
 #include "hil/turnloop.hpp"
+#include "obs/metrics.hpp"
 #include "serve/journal.hpp"
 #include "serve/runtime.hpp"
+#include "serve/wire.hpp"
 
 using namespace citl;
 
@@ -257,6 +259,96 @@ TEST(ServeJournal, CrashResumeIsBitIdenticalToUninterruptedRun) {
   EXPECT_TRUE(bit_equal(info.time_s, time_at_800));
 
   expect_bit_identical(recovered.step(id, 400, 4), want);
+}
+
+namespace {
+
+/// The session config a journal's first record carries.
+api::SessionConfig journalled_config(const serve::JournalScan& scan) {
+  EXPECT_FALSE(scan.records.empty());
+  serve::WireReader r(scan.records.front().payload);
+  return serve::decode_session_config(r);
+}
+
+}  // namespace
+
+TEST(ServeJournal, PreFlipInterpreterJournalRecoversOnItsRecordedTier) {
+  // Before exec_tier defaulted to auto, every client sent `interpreter` on
+  // the wire, so every journal written then records that tier (in the config
+  // record and in the header digest). Such a session must recover bit for
+  // bit and resume on the interpreter, not on the new default.
+  const std::string dir = fresh_state_dir("preflip");
+  api::SessionConfig pre_flip = api::paper_operating_point();
+  pre_flip.exec_tier = cgra::ExecTier::kInterpreter;
+  serve::WireWriter w;
+  serve::encode_session_config(w, pre_flip);
+  serve::WireReader r(w.bytes());
+  const api::SessionConfig sent = serve::decode_session_config(r);
+  ASSERT_EQ(sent.exec_tier, cgra::ExecTier::kInterpreter);
+
+  // Uninterrupted arm on today's default tier: tiers are bit-identical, so
+  // the recovered interpreter session must match it too.
+  serve::SessionRuntime uninterrupted;
+  const std::uint32_t uid = uninterrupted.create(api::paper_operating_point());
+  (void)drive_phase_one(uninterrupted, uid);
+  const auto want = uninterrupted.step(uid, 400, 4);
+
+  std::uint32_t id = 0;
+  {
+    serve::RuntimeConfig rc;
+    rc.state_dir = dir;
+    serve::SessionRuntime rt(rc);
+    id = rt.create(sent);
+    (void)drive_phase_one(rt, id);
+  }
+  const serve::JournalScan scan = serve::scan_journal(journal_file(dir, id));
+  EXPECT_EQ(journalled_config(scan).exec_tier, cgra::ExecTier::kInterpreter);
+  EXPECT_EQ(scan.config_digest, api::session_config_digest(pre_flip));
+  EXPECT_NE(scan.config_digest,
+            api::session_config_digest(api::paper_operating_point()));
+
+  serve::RuntimeConfig rc;
+  rc.state_dir = dir;
+  serve::SessionRuntime recovered(rc);
+  ASSERT_EQ(recovered.recover(), 1u);
+  EXPECT_EQ(recovered.stats().journals_corrupt, 0u);
+
+  // Which tier ran is visible in the per-tier iteration counters.
+  obs::Registry& reg = obs::Registry::global();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  const auto count = [&reg](const char* tier) {
+    return reg.counter(std::string("cgra.exec.iterations.") + tier).value();
+  };
+  const std::uint64_t interp0 = count("interpreter");
+  const std::uint64_t bytecode0 = count("bytecode");
+  const std::uint64_t native0 = count("native");
+  const auto got = recovered.step(id, 400, 4);
+  reg.set_enabled(was_enabled);
+  expect_bit_identical(got, want);
+  EXPECT_EQ(count("interpreter") - interp0, 400u);
+  EXPECT_EQ(count("bytecode") - bytecode0, 0u);
+  EXPECT_EQ(count("native") - native0, 0u);
+}
+
+TEST(ServeJournal, DefaultConfigJournalRecordsAutoTier) {
+  const std::string dir = fresh_state_dir("autotier");
+  const api::SessionConfig config = api::paper_operating_point();
+  ASSERT_EQ(config.exec_tier, cgra::ExecTier::kAuto);
+  api::SessionConfig interpreter = config;
+  interpreter.exec_tier = cgra::ExecTier::kInterpreter;
+  std::uint32_t id = 0;
+  {
+    serve::RuntimeConfig rc;
+    rc.state_dir = dir;
+    serve::SessionRuntime rt(rc);
+    id = rt.create(config);
+    (void)rt.step(id, 64, 1);
+  }
+  const serve::JournalScan scan = serve::scan_journal(journal_file(dir, id));
+  EXPECT_EQ(journalled_config(scan).exec_tier, cgra::ExecTier::kAuto);
+  EXPECT_EQ(scan.config_digest, api::session_config_digest(config));
+  EXPECT_NE(scan.config_digest, api::session_config_digest(interpreter));
 }
 
 TEST(ServeJournal, RecoveryReplaysTheCachedStepResponse) {
