@@ -100,8 +100,8 @@ SweepPair run_pair(std::vector<sweep::Scenario> scenarios) {
   return p;
 }
 
-/// Machine-level lane speedup: N serial CgraMachines vs one N-lane batched
-/// machine, same kernel, same per-lane bus, no loop machinery around it.
+/// Machine-level lane speedup: N 1-lane machines vs one N-lane machine, same
+/// kernel, same per-lane bus, no loop machinery around it.
 double machine_level_speedup(int iterations) {
   cgra::BeamKernelConfig kc = paper_turn_config(true).kernel;
   const cgra::CompiledKernel kernel = cgra::compile_kernel(
@@ -111,19 +111,19 @@ double machine_level_speedup(int iterations) {
 
   using Clock = std::chrono::steady_clock;
 
-  std::vector<std::unique_ptr<cgra::CgraMachine>> machines;
+  std::vector<std::unique_ptr<cgra::BatchedCgraMachine>> machines;
   for (std::size_t i = 0; i < kLanes; ++i) {
-    machines.push_back(std::make_unique<cgra::CgraMachine>(kernel, null_bus));
+    machines.push_back(std::make_unique<cgra::BatchedCgraMachine>(
+        kernel, std::vector<cgra::SensorBus*>{&null_bus}));
   }
   const auto t0 = Clock::now();
   for (int it = 0; it < iterations; ++it) {
-    for (auto& m : machines) m->run_iteration();
+    for (auto& m : machines) m->run_iteration_all_lanes();
   }
   const auto t1 = Clock::now();
 
-  std::vector<cgra::SensorBus*> buses(kLanes, &null_bus);
-  cgra::PerLaneBusAdapter adapter(std::move(buses));
-  cgra::BatchedCgraMachine batched(kernel, kLanes, adapter);
+  cgra::BatchedCgraMachine batched(
+      kernel, std::vector<cgra::SensorBus*>(kLanes, &null_bus));
   const auto t2 = Clock::now();
   for (int it = 0; it < iterations; ++it) {
     batched.run_iteration_all_lanes();
@@ -228,12 +228,13 @@ void BM_SerialIterationX8(benchmark::State& state) {
       cgra::analytic_beam_kernel_source(kc), cgra::grid_5x5(),
       "beam_analytic");
   cgra::NullSensorBus bus;
-  std::vector<std::unique_ptr<cgra::CgraMachine>> machines;
+  std::vector<std::unique_ptr<cgra::BatchedCgraMachine>> machines;
   for (std::size_t i = 0; i < kLanes; ++i) {
-    machines.push_back(std::make_unique<cgra::CgraMachine>(kernel, bus));
+    machines.push_back(std::make_unique<cgra::BatchedCgraMachine>(
+        kernel, std::vector<cgra::SensorBus*>{&bus}));
   }
   for (auto _ : state) {
-    for (auto& m : machines) m->run_iteration();
+    for (auto& m : machines) m->run_iteration_all_lanes();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kLanes));
@@ -246,9 +247,8 @@ void BM_BatchedIterationX8(benchmark::State& state) {
       cgra::analytic_beam_kernel_source(kc), cgra::grid_5x5(),
       "beam_analytic");
   cgra::NullSensorBus bus;
-  std::vector<cgra::SensorBus*> buses(kLanes, &bus);
-  cgra::PerLaneBusAdapter adapter(std::move(buses));
-  cgra::BatchedCgraMachine batched(kernel, kLanes, adapter);
+  cgra::BatchedCgraMachine batched(kernel,
+                                   std::vector<cgra::SensorBus*>(kLanes, &bus));
   for (auto _ : state) {
     batched.run_iteration_all_lanes();
   }

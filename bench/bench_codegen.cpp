@@ -47,10 +47,11 @@ namespace {
 
 constexpr std::size_t kLanes = 8;
 
-struct NullLaneBus final : public LaneSensorBus {
-  double read(std::size_t, SensorRegion, double) override { return 0.0; }
-  void write(std::size_t, SensorRegion, double, double) override {}
-};
+/// kLanes lanes on one shared null bus (reads zero, drops writes).
+std::vector<SensorBus*> null_lanes() {
+  static NullSensorBus bus;
+  return std::vector<SensorBus*>(kLanes, &bus);
+}
 
 struct KernelCase {
   const char* name;
@@ -82,11 +83,10 @@ std::vector<KernelCase> bench_kernels() {
 std::vector<double> time_tiers_ns(const CompiledKernel& kernel,
                                   Precision precision,
                                   const std::vector<ExecTier>& tiers) {
-  NullLaneBus bus;
   std::vector<std::unique_ptr<BatchedCgraMachine>> machines;
   std::vector<int> chunks;
   for (ExecTier tier : tiers) {
-    auto m = std::make_unique<BatchedCgraMachine>(kernel, kLanes, bus,
+    auto m = std::make_unique<BatchedCgraMachine>(kernel, null_lanes(),
                                                   precision, tier);
     const auto w0 = std::chrono::steady_clock::now();
     for (int i = 0; i < 1000; ++i) m->run_iteration_all_lanes();
@@ -125,11 +125,10 @@ std::vector<double> time_tiers_ns(const CompiledKernel& kernel,
 /// (serial, masked lanes, write logs, oracle) lives in tests/test_codegen.cpp;
 /// this stops a benchmark from ever reporting a speedup for wrong results.
 bool tiers_identical(const CompiledKernel& kernel, Precision precision) {
-  NullLaneBus bus;
-  BatchedCgraMachine mi(kernel, kLanes, bus, precision,
+  BatchedCgraMachine mi(kernel, null_lanes(), precision,
                         ExecTier::kInterpreter);
-  BatchedCgraMachine mb(kernel, kLanes, bus, precision, ExecTier::kBytecode);
-  BatchedCgraMachine mn(kernel, kLanes, bus, precision, ExecTier::kNative);
+  BatchedCgraMachine mb(kernel, null_lanes(), precision, ExecTier::kBytecode);
+  BatchedCgraMachine mn(kernel, null_lanes(), precision, ExecTier::kNative);
   for (int i = 0; i < 300; ++i) {
     mi.run_iteration_all_lanes();
     mb.run_iteration_all_lanes();
@@ -333,8 +332,7 @@ void print_report(const std::string& json_path) {
 void BM_InterpreterIteration(benchmark::State& state) {
   const CompiledKernel kernel = compile_kernel(cavity_iq_servo_source(),
                                                grid_4x4(), "cavity_iq_servo");
-  NullLaneBus bus;
-  BatchedCgraMachine m(kernel, kLanes, bus, Precision::kFloat64,
+  BatchedCgraMachine m(kernel, null_lanes(), Precision::kFloat64,
                        ExecTier::kInterpreter);
   for (auto _ : state) m.run_iteration_all_lanes();
   state.SetItemsProcessed(state.iterations() *
@@ -345,8 +343,7 @@ BENCHMARK(BM_InterpreterIteration);
 void BM_BytecodeIteration(benchmark::State& state) {
   const CompiledKernel kernel = compile_kernel(cavity_iq_servo_source(),
                                                grid_4x4(), "cavity_iq_servo");
-  NullLaneBus bus;
-  BatchedCgraMachine m(kernel, kLanes, bus, Precision::kFloat64,
+  BatchedCgraMachine m(kernel, null_lanes(), Precision::kFloat64,
                        ExecTier::kBytecode);
   for (auto _ : state) m.run_iteration_all_lanes();
   state.SetItemsProcessed(state.iterations() *
@@ -361,8 +358,7 @@ void BM_NativeIteration(benchmark::State& state) {
     state.SkipWithError("no host compiler: native tier unavailable");
     return;
   }
-  NullLaneBus bus;
-  BatchedCgraMachine m(kernel, kLanes, bus, Precision::kFloat64,
+  BatchedCgraMachine m(kernel, null_lanes(), Precision::kFloat64,
                        ExecTier::kNative);
   for (auto _ : state) m.run_iteration_all_lanes();
   state.SetItemsProcessed(state.iterations() *

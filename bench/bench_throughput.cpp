@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "cgra/batch.hpp"
 #include "cgra/kernels.hpp"
 #include "cgra/machine.hpp"
 #include "cgra/schedule.hpp"
@@ -43,8 +44,8 @@ void BM_CgraFunctionalIteration(benchmark::State& state) {
   const cgra::CompiledKernel k =
       cgra::compile_kernel(cgra::beam_kernel_source(kc), cgra::grid_5x5());
   cgra::NullSensorBus bus;
-  cgra::CgraMachine m(k, bus);
-  for (auto _ : state) m.run_iteration();
+  cgra::BatchedCgraMachine m(k, {&bus});
+  for (auto _ : state) m.run_iteration_all_lanes();
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(std::to_string(state.range(0)) + " bunches, functional");
 }

@@ -2,8 +2,8 @@
 //
 // Before this layer existed, every entry point rolled its own setup: the
 // examples copied the operating-point plumbing (ring, gamma, gap voltage),
-// the console spoke the deprecated string-keyed machine wrappers, and the
-// sweep builder took raw engine configs. The facade promotes that ad-hoc
+// the console spoke string-keyed machine methods, and the sweep builder took
+// raw engine configs. The facade promotes that ad-hoc
 // surface into one coherent API that the session server (src/serve/), the
 // operator console, the examples and the sweep all consume:
 //
@@ -16,12 +16,11 @@
 //                      into the engine configs (host-side initialisation:
 //                      ring from the harmonic, gamma from f_ref, gap voltage
 //                      from the target synchrotron frequency).
-//   * by-name kernel access — the sanctioned interactive path to kernel
-//                      parameters/states, replacing the deprecated
-//                      string-keyed CgraMachine wrappers. It resolves a
-//                      handle per call (fine for consoles and RPC, wrong for
-//                      per-revolution hot paths) and reports the same typed
-//                      ConfigError a direct handle lookup would.
+//   * by-name kernel access — the one interactive path to kernel
+//                      parameters/states of any cgra::BeamModel. It resolves
+//                      a handle per call (fine for consoles and RPC, wrong
+//                      for per-revolution hot paths) and reports the same
+//                      typed ConfigError a direct handle lookup would.
 //   * ErrorCode      — re-exported from core/error.hpp: the one error
 //                      taxonomy shared by library exceptions and the wire
 //                      protocol's response status (docs/SERVING.md).
@@ -115,10 +114,10 @@ void validate(const SessionConfig& config);
     const SessionConfig& config);
 
 // --- by-name kernel access (interactive path) -----------------------------
-// Resolves a handle per call and delegates — the replacement for the
-// deprecated string-keyed CgraMachine wrappers. Unknown names throw
-// ConfigError{kUnknownKey} naming the kernel and the offending key, exactly
-// like param_handle()/state_handle().
+// Resolves a handle per call and delegates; machines themselves are
+// addressed only by handle. Unknown names throw ConfigError{kUnknownKey}
+// naming the kernel and the offending key, exactly like
+// param_handle()/state_handle().
 
 void set_kernel_param(cgra::BeamModel& model, std::string_view name,
                       double value, std::size_t lane = 0);

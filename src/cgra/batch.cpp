@@ -24,27 +24,28 @@ struct IndexMap {
   std::size_t operator()(std::size_t k) const noexcept { return ids[k]; }
 };
 
-/// C-ABI bus trampolines for generated kernels (lane-indexed bus).
+/// C-ABI bus trampolines for generated kernels: `bus` is the machine's
+/// per-lane SensorBus array.
 double lane_bus_read(void* bus, std::uint32_t lane, double addr) {
   const DecodedAddress da = decode_address(addr);
-  return static_cast<LaneSensorBus*>(bus)->read(lane, da.region, da.offset);
+  return static_cast<SensorBus**>(bus)[lane]->read(da.region, da.offset);
 }
 
 void lane_bus_write(void* bus, std::uint32_t lane, double addr, double value) {
   const DecodedAddress da = decode_address(addr);
-  static_cast<LaneSensorBus*>(bus)->write(lane, da.region, da.offset, value);
+  static_cast<SensorBus**>(bus)[lane]->write(da.region, da.offset, value);
 }
 
 double lane_bus_read_at(void* bus, std::uint32_t lane, std::uint32_t region,
                         double offset) {
-  return static_cast<LaneSensorBus*>(bus)->read(
-      lane, static_cast<SensorRegion>(region), offset);
+  return static_cast<SensorBus**>(bus)[lane]->read(
+      static_cast<SensorRegion>(region), offset);
 }
 
 void lane_bus_write_at(void* bus, std::uint32_t lane, std::uint32_t region,
                        double offset, double value) {
-  static_cast<LaneSensorBus*>(bus)->write(
-      lane, static_cast<SensorRegion>(region), offset, value);
+  static_cast<SensorBus**>(bus)[lane]->write(static_cast<SensorRegion>(region),
+                                             offset, value);
 }
 
 obs::Counter& tier_iteration_counter(ExecTier tier) {
@@ -58,16 +59,19 @@ obs::Counter& tier_iteration_counter(ExecTier tier) {
 }  // namespace
 
 BatchedCgraMachine::BatchedCgraMachine(const CompiledKernel& kernel,
-                                       std::size_t lanes, LaneSensorBus& bus,
+                                       std::vector<SensorBus*> buses,
                                        Precision precision, ExecTier tier)
-    : kernel_(&kernel),
-      bus_(&bus),
+    : BeamModel(kernel),
+      buses_(std::move(buses)),
       precision_(precision),
-      lanes_(lanes),
+      lanes_(buses_.size()),
       attribution_counters_(kernel) {
-  if (lanes == 0) {
+  if (lanes_ == 0) {
     throw ConfigError("BatchedCgraMachine for kernel '" + kernel.name +
                       "' needs at least one lane");
+  }
+  for (const SensorBus* bus : buses_) {
+    CITL_CHECK_MSG(bus != nullptr, "null lane bus");
   }
   tier_ = resolve_exec_tier(tier, kernel, precision, lanes_, &native_);
   if (tier_ == ExecTier::kBytecode) {
@@ -88,6 +92,11 @@ BatchedCgraMachine::BatchedCgraMachine(const CompiledKernel& kernel,
     state_slot_[static_cast<std::size_t>(states[i].node)] =
         static_cast<int>(i);
   }
+  for (std::size_t i = 0; i < kernel.dfg.size(); ++i) {
+    if (kernel.dfg.node(static_cast<NodeId>(i)).stage == 0) {
+      stage0_rows_.push_back(i * lanes_);
+    }
+  }
   scratch_f_.assign(4 * lanes_, 0.0f);
   scratch_d_.assign(4 * lanes_, 0.0);
   lane_iterations_.assign(lanes_, 0);
@@ -102,7 +111,7 @@ BatchedCgraMachine::BatchedCgraMachine(const CompiledKernel& kernel,
 }
 
 void BatchedCgraMachine::reset() {
-  const Dfg& g = kernel_->dfg;
+  const Dfg& g = kernel().dfg;
   state_vals_.assign(g.states().size() * lanes_, 0.0);
   for (std::size_t i = 0; i < g.states().size(); ++i) {
     std::fill_n(state_vals_.begin() + static_cast<std::ptrdiff_t>(i * lanes_),
@@ -127,12 +136,12 @@ double BatchedCgraMachine::quantise(double v) const noexcept {
 
 void BatchedCgraMachine::check_lane(std::size_t lane) const {
   if (lane >= lanes_) {
-    detail::throw_lane_out_of_range(*kernel_, lane, lanes_);
+    detail::throw_lane_out_of_range(kernel(), lane, lanes_);
   }
 }
 
 void BatchedCgraMachine::check_handle(bool valid, const char* what) const {
-  if (!valid) detail::throw_invalid_handle(*kernel_, what);
+  if (!valid) detail::throw_invalid_handle(kernel(), what);
 }
 
 void BatchedCgraMachine::set_param(ParamHandle h, double value,
@@ -204,7 +213,7 @@ void BatchedCgraMachine::restore_pipe_regs(std::size_t lane,
 double BatchedCgraMachine::value(NodeId node, std::size_t lane) const {
   check_lane(lane);
   CITL_CHECK(node >= 0 &&
-             static_cast<std::size_t>(node) < kernel_->dfg.size());
+             static_cast<std::size_t>(node) < kernel().dfg.size());
   return values_[static_cast<std::size_t>(node) * lanes_ + lane];
 }
 
@@ -264,7 +273,7 @@ void BatchedCgraMachine::eval_cordic(const Node& n, const double* in,
 
 template <typename F, typename LaneMap>
 void BatchedCgraMachine::run_pass(const LaneMap& lm, std::size_t n) {
-  const Dfg& g = kernel_->dfg;
+  const Dfg& g = kernel().dfg;
   for (NodeId id : topo_) {
     const Node& node = g.node(id);
     double* const out = row(id);
@@ -303,7 +312,7 @@ void BatchedCgraMachine::run_pass(const LaneMap& lm, std::size_t n) {
         for (std::size_t k = 0; k < n; ++k) {
           const std::size_t l = lm(k);
           const DecodedAddress da = decode_address(a[l]);
-          out[l] = quantise(bus_->read(l, da.region, da.offset));
+          out[l] = quantise(buses_[l]->read(da.region, da.offset));
         }
         break;
       }
@@ -313,7 +322,7 @@ void BatchedCgraMachine::run_pass(const LaneMap& lm, std::size_t n) {
         for (std::size_t k = 0; k < n; ++k) {
           const std::size_t l = lm(k);
           const DecodedAddress da = decode_address(a[l]);
-          bus_->write(l, da.region, da.offset, b[l]);
+          buses_[l]->write(da.region, da.offset, b[l]);
           out[l] = b[l];
         }
         break;
@@ -418,22 +427,19 @@ void BatchedCgraMachine::run_pass(const LaneMap& lm, std::size_t n) {
 
 template <typename LaneMap>
 void BatchedCgraMachine::commit(const LaneMap& lm, std::size_t n_active) {
-  const Dfg& g = kernel_->dfg;
   // Pipeline registers latch this iteration's stage-0 values — only on the
   // lanes that actually ran; parked lanes keep last iteration's registers.
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    if (g.node(static_cast<NodeId>(i)).stage == 0) {
-      const double* vr = values_.data() + i * lanes_;
-      double* pr = pipe_regs_.data() + i * lanes_;
-      for (std::size_t k = 0; k < n_active; ++k) {
-        const std::size_t l = lm(k);
-        pr[l] = vr[l];
-      }
+  for (const std::size_t r : stage0_rows_) {
+    const double* vr = values_.data() + r;
+    double* pr = pipe_regs_.data() + r;
+    for (std::size_t k = 0; k < n_active; ++k) {
+      const std::size_t l = lm(k);
+      pr[l] = vr[l];
     }
   }
   // States take their update nodes' values, again lane-masked so externally
   // written states of parked lanes (displace(), handle writes) survive.
-  const auto& states = g.states();
+  const auto& states = kernel().dfg.states();
   for (std::size_t i = 0; i < states.size(); ++i) {
     const double* up =
         values_.data() + static_cast<std::size_t>(states[i].update) * lanes_;
@@ -465,13 +471,15 @@ void BatchedCgraMachine::commit_bookkeeping(const LaneMap& lm,
   obs_lane_iters_->add(n_active);
   obs_lanes_active_->set(static_cast<double>(n_active));
   obs_iterations_->add(n_active);
-  obs_cycles_->add(n_active * kernel_->schedule.length);
+  obs_cycles_->add(n_active * kernel().schedule.length);
   attribution_counters_.add_iterations(n_active);
 }
 
 BatchedCgraMachine::~BatchedCgraMachine() = default;
 
-unsigned BatchedCgraMachine::run_iteration_all_lanes() {
+template <typename LaneMap>
+void BatchedCgraMachine::execute(const LaneMap& lm, std::size_t n_active) {
+  constexpr bool kDense = std::is_same_v<LaneMap, IdentityMap>;
   obs_tier_iters_->add();
   switch (tier_) {
     case ExecTier::kNative: {
@@ -480,13 +488,17 @@ unsigned BatchedCgraMachine::run_iteration_all_lanes() {
       ctx.pipe_regs = pipe_regs_.data();
       ctx.state_vals = state_vals_.data();
       ctx.param_vals = param_vals_.data();
-      ctx.bus = bus_;
+      ctx.bus = buses_.data();
       ctx.bus_read = &lane_bus_read;
       ctx.bus_write = &lane_bus_write;
       ctx.bus_read_at = &lane_bus_read_at;
       ctx.bus_write_at = &lane_bus_write_at;
-      native_->run_dense(ctx);
-      commit_bookkeeping(IdentityMap{}, lanes_);
+      if constexpr (kDense) {
+        native_->run_dense(ctx);
+      } else {
+        native_->run_masked(ctx, lm.ids, static_cast<std::uint32_t>(n_active));
+      }
+      commit_bookkeeping(lm, n_active);
       break;
     }
     case ExecTier::kBytecode: {
@@ -498,66 +510,48 @@ unsigned BatchedCgraMachine::run_iteration_all_lanes() {
       ctx.lanes = lanes_;
       ctx.scratch_f = scratch_f_.data();
       ctx.scratch_d = scratch_d_.data();
-      bytecode_->run_dense(precision_, ctx, *bus_);
-      commit(IdentityMap{}, lanes_);
+      if constexpr (kDense) {
+        bytecode_->run_dense(precision_, ctx, buses_.data());
+      } else {
+        bytecode_->run_masked(precision_, ctx, buses_.data(), lm.ids,
+                              n_active);
+      }
+      commit(lm, n_active);
       break;
     }
     default:
       if (precision_ == Precision::kFloat32) {
-        run_pass<float>(IdentityMap{}, lanes_);
+        run_pass<float>(lm, n_active);
       } else {
-        run_pass<double>(IdentityMap{}, lanes_);
+        run_pass<double>(lm, n_active);
       }
       break;
   }
-  return kernel_->schedule.length;
+}
+
+unsigned BatchedCgraMachine::run_iteration_all_lanes() {
+  execute(IdentityMap{}, lanes_);
+  return kernel().schedule.length;
 }
 
 unsigned BatchedCgraMachine::run_iteration_lanes(const std::uint32_t* lane_ids,
                                                  std::size_t n_active) {
-  if (n_active == 0) return kernel_->schedule.length;
+  if (n_active == 0) return kernel().schedule.length;
   if (n_active == lanes_) return run_iteration_all_lanes();
   for (std::size_t k = 0; k < n_active; ++k) check_lane(lane_ids[k]);
-  obs_tier_iters_->add();
-  switch (tier_) {
-    case ExecTier::kNative: {
-      NativeCtx ctx;
-      ctx.values = values_.data();
-      ctx.pipe_regs = pipe_regs_.data();
-      ctx.state_vals = state_vals_.data();
-      ctx.param_vals = param_vals_.data();
-      ctx.bus = bus_;
-      ctx.bus_read = &lane_bus_read;
-      ctx.bus_write = &lane_bus_write;
-      ctx.bus_read_at = &lane_bus_read_at;
-      ctx.bus_write_at = &lane_bus_write_at;
-      native_->run_masked(ctx, lane_ids,
-                          static_cast<std::uint32_t>(n_active));
-      commit_bookkeeping(IndexMap{lane_ids}, n_active);
-      break;
-    }
-    case ExecTier::kBytecode: {
-      BcContext ctx;
-      ctx.values = values_.data();
-      ctx.pipe_regs = pipe_regs_.data();
-      ctx.state_vals = state_vals_.data();
-      ctx.param_vals = param_vals_.data();
-      ctx.lanes = lanes_;
-      ctx.scratch_f = scratch_f_.data();
-      ctx.scratch_d = scratch_d_.data();
-      bytecode_->run_masked(precision_, ctx, *bus_, lane_ids, n_active);
-      commit(IndexMap{lane_ids}, n_active);
-      break;
-    }
-    default:
-      if (precision_ == Precision::kFloat32) {
-        run_pass<float>(IndexMap{lane_ids}, n_active);
-      } else {
-        run_pass<double>(IndexMap{lane_ids}, n_active);
-      }
-      break;
+  execute(IndexMap{lane_ids}, n_active);
+  return kernel().schedule.length;
+}
+
+std::unique_ptr<BeamModel> make_loop_model(const CompiledKernel& kernel,
+                                           SensorBus& bus,
+                                           bool cycle_accurate, ExecTier tier,
+                                           Precision precision) {
+  if (cycle_accurate) {
+    return std::make_unique<CgraMachine>(kernel, bus, precision);
   }
-  return kernel_->schedule.length;
+  return std::make_unique<BatchedCgraMachine>(
+      kernel, std::vector<SensorBus*>{&bus}, precision, tier);
 }
 
 }  // namespace citl::cgra

@@ -1,4 +1,5 @@
-// Batched lane-parallel CGRA execution (structure-of-arrays).
+// The functional CGRA executor: N lanes of one kernel in lockstep
+// (structure-of-arrays).
 //
 // A sweep runs the *same* compiled kernel over many operating points; the
 // overlay exploits the tracking map's parallelism in hardware, and this is
@@ -6,13 +7,20 @@
 // lanes of one CompiledKernel in lockstep. Node values live in
 // structure-of-arrays layout — values_[node * lanes + lane], contiguous per
 // node — so evaluating one dataflow node across all lanes is a tight,
-// auto-vectorizable inner loop instead of N interpreter walks.
+// auto-vectorizable inner loop instead of N interpreter walks. With one lane
+// it is the functional engine of every closed loop (hil::TurnLoop,
+// hil::Framework, hil::RampLoop); CgraMachine (machine.hpp) is only the
+// cycle-accurate reference.
+//
+// Each lane drives its own SensorBus: the machine takes one bus per lane,
+// and the lane count is the number of buses.
 //
 // Determinism contract (docs/BATCHING.md): every lane computes bit-identical
-// results to a single CgraMachine running the same inputs. The per-operator
-// arithmetic is shared (cgra/exec.hpp), the CORDIC is evaluated branch-free
-// across lanes with the same operation sequence as the scalar rotation, and
-// sensor-bus traffic is issued per lane in ascending lane order.
+// results to a cycle-accurate CgraMachine running the same inputs, on every
+// exec tier. The per-operator arithmetic is shared (cgra/exec.hpp), the
+// CORDIC is evaluated branch-free across lanes with the same operation
+// sequence as the scalar rotation, and sensor-bus traffic is issued per lane
+// in ascending lane order.
 #pragma once
 
 #include <cstdint>
@@ -26,53 +34,21 @@
 
 namespace citl::cgra {
 
-/// Lane-indexed sensor bus: the batched machine's IO interface. Each lane
-/// must see its own scenario's buffers, so loads/stores carry the lane.
-class LaneSensorBus {
- public:
-  virtual ~LaneSensorBus() = default;
-  virtual double read(std::size_t lane, SensorRegion region,
-                      double offset) = 0;
-  virtual void write(std::size_t lane, SensorRegion region, double offset,
-                     double value) = 0;
-};
-
-/// Adapts N ordinary per-lane SensorBus instances (e.g. each framework's
-/// private bus) to the lane-indexed interface.
-class PerLaneBusAdapter final : public LaneSensorBus {
- public:
-  explicit PerLaneBusAdapter(std::vector<SensorBus*> buses)
-      : buses_(std::move(buses)) {}
-
-  double read(std::size_t lane, SensorRegion region, double offset) override {
-    CITL_CHECK(lane < buses_.size());
-    return buses_[lane]->read(region, offset);
-  }
-  void write(std::size_t lane, SensorRegion region, double offset,
-             double value) override {
-    CITL_CHECK(lane < buses_.size());
-    buses_[lane]->write(region, offset, value);
-  }
-
- private:
-  std::vector<SensorBus*> buses_;
-};
+class BytecodeProgram;  // bytecode.hpp
+class NativeKernel;     // codegen.hpp
 
 class BatchedCgraMachine final : public BeamModel {
  public:
-  /// The machine keeps references to the kernel and the bus; both must
-  /// outlive it. `bus` must serve at least `lanes` lanes. `tier` picks the
-  /// execution back end (exec_tier.hpp); kAuto and the no-compiler fallback
-  /// resolve at construction.
-  BatchedCgraMachine(const CompiledKernel& kernel, std::size_t lanes,
-                     LaneSensorBus& bus,
+  /// One lane per entry of `buses` (at least one; none may be null). The
+  /// machine keeps references to the kernel and the buses; all must outlive
+  /// it. `tier` picks the execution back end (exec_tier.hpp); kAuto and the
+  /// no-compiler fallback resolve at construction.
+  BatchedCgraMachine(const CompiledKernel& kernel,
+                     std::vector<SensorBus*> buses,
                      Precision precision = Precision::kFloat32,
                      ExecTier tier = ExecTier::kInterpreter);
   ~BatchedCgraMachine() override;
 
-  [[nodiscard]] const CompiledKernel& kernel() const noexcept override {
-    return *kernel_;
-  }
   [[nodiscard]] std::size_t lanes() const noexcept override { return lanes_; }
   [[nodiscard]] ExecTier exec_tier() const noexcept override { return tier_; }
 
@@ -113,6 +89,8 @@ class BatchedCgraMachine final : public BeamModel {
   }
 
  private:
+  template <typename LaneMap>
+  void execute(const LaneMap& lm, std::size_t n_active);
   template <typename F, typename LaneMap>
   void run_pass(const LaneMap& lm, std::size_t n);
   template <typename F, typename LaneMap>
@@ -134,13 +112,12 @@ class BatchedCgraMachine final : public BeamModel {
   [[nodiscard]] const double* operand_row(NodeId consumer,
                                           NodeId producer) const noexcept {
     const std::size_t p = static_cast<std::size_t>(producer) * lanes_;
-    return kernel_->dfg.is_pipeline_edge(producer, consumer)
+    return kernel().dfg.is_pipeline_edge(producer, consumer)
                ? pipe_regs_.data() + p
                : values_.data() + p;
   }
 
-  const CompiledKernel* kernel_;
-  LaneSensorBus* bus_;
+  std::vector<SensorBus*> buses_;   ///< one per lane
   Precision precision_;
   std::size_t lanes_;
   // Cache-line aligned: one f64 row (8 lanes) is exactly one line, and row
@@ -152,6 +129,9 @@ class BatchedCgraMachine final : public BeamModel {
   std::vector<NodeId> topo_;
   std::vector<int> param_slot_;     ///< node id -> param index (or -1)
   std::vector<int> state_slot_;     ///< node id -> state index (or -1)
+  /// Row offsets (node * lanes) of the stage-0 nodes, whose rows commit()
+  /// latches into the pipeline registers.
+  std::vector<std::size_t> stage0_rows_;
   std::vector<float> scratch_f_;    ///< 4 * lanes CORDIC scratch (binary32)
   std::vector<double> scratch_d_;   ///< 4 * lanes CORDIC scratch (binary64)
   std::uint64_t iterations_ = 0;
@@ -171,5 +151,14 @@ class BatchedCgraMachine final : public BeamModel {
   std::unique_ptr<BytecodeProgram> bytecode_;
   std::shared_ptr<const NativeKernel> native_;
 };
+
+/// The one-lane model a closed loop owns (hil::TurnLoop, hil::Framework,
+/// hil::RampLoop), chosen once at construction: the cycle-accurate
+/// CgraMachine when `cycle_accurate` is set, else the functional
+/// BatchedCgraMachine over `bus` at `tier`. Both give the same bits; the
+/// choice trades speed for the cycle-by-cycle walk of the schedule.
+[[nodiscard]] std::unique_ptr<BeamModel> make_loop_model(
+    const CompiledKernel& kernel, SensorBus& bus, bool cycle_accurate,
+    ExecTier tier, Precision precision = Precision::kFloat32);
 
 }  // namespace citl::cgra

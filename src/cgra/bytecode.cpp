@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "cgra/batch.hpp"
 #include "cgra/exec.hpp"
 #include "core/error.hpp"
 
@@ -47,31 +46,6 @@ struct IdentityMap {
 struct IndexMap {
   const std::uint32_t* ids;
   std::size_t operator()(std::size_t k) const noexcept { return ids[k]; }
-};
-
-/// Bus policies: the serial machine's lane-less SensorBus and the batched
-/// machine's lane-indexed bus, both behind the interpreter's address decode.
-struct SerialBusIo {
-  SensorBus* bus;
-  double read(std::size_t, double addr) const {
-    const DecodedAddress da = decode_address(addr);
-    return bus->read(da.region, da.offset);
-  }
-  void write(std::size_t, double addr, double value) const {
-    const DecodedAddress da = decode_address(addr);
-    bus->write(da.region, da.offset, value);
-  }
-};
-struct LaneBusIo {
-  LaneSensorBus* bus;
-  double read(std::size_t lane, double addr) const {
-    const DecodedAddress da = decode_address(addr);
-    return bus->read(lane, da.region, da.offset);
-  }
-  void write(std::size_t lane, double addr, double value) const {
-    const DecodedAddress da = decode_address(addr);
-    bus->write(lane, da.region, da.offset, value);
-  }
 };
 
 template <typename F>
@@ -134,9 +108,9 @@ void bc_cordic(bool want_sin, const double* in, double* out, F* scratch,
 #define CITL_BC_GOTO 1
 #endif
 
-template <typename F, typename LaneMap, typename BusIo>
+template <typename F, typename LaneMap>
 void execute(const std::vector<BytecodeProgram::Instr>& instrs,
-             const BcContext& ctx, BusIo io, const LaneMap& lm,
+             const BcContext& ctx, SensorBus* const* buses, const LaneMap& lm,
              std::size_t n) {
   const std::size_t lanes = ctx.lanes;
   F* const scratch = scratch_base<F>(ctx);
@@ -191,7 +165,9 @@ void execute(const std::vector<BytecodeProgram::Instr>& instrs,
     double* const out = ctx.values + pc->dst;
     for (std::size_t k = 0; k < n; ++k) {
       const std::size_t l = lm(k);
-      out[l] = static_cast<double>(static_cast<F>(io.read(l, a[l])));
+      const DecodedAddress da = decode_address(a[l]);
+      out[l] = static_cast<double>(
+          static_cast<F>(buses[l]->read(da.region, da.offset)));
     }
     CITL_BC_NEXT();
   }
@@ -201,7 +177,8 @@ void execute(const std::vector<BytecodeProgram::Instr>& instrs,
     double* const out = ctx.values + pc->dst;
     for (std::size_t k = 0; k < n; ++k) {
       const std::size_t l = lm(k);
-      io.write(l, a[l], b[l]);
+      const DecodedAddress da = decode_address(a[l]);
+      buses[l]->write(da.region, da.offset, b[l]);
       out[l] = b[l];
     }
     CITL_BC_NEXT();
@@ -417,33 +394,22 @@ BytecodeProgram::BytecodeProgram(const CompiledKernel& kernel,
 }
 
 void BytecodeProgram::run_dense(Precision precision, const BcContext& ctx,
-                                LaneSensorBus& bus) const {
+                                SensorBus* const* buses) const {
   if (precision == Precision::kFloat32) {
-    execute<float>(instrs_, ctx, LaneBusIo{&bus}, IdentityMap{}, ctx.lanes);
+    execute<float>(instrs_, ctx, buses, IdentityMap{}, ctx.lanes);
   } else {
-    execute<double>(instrs_, ctx, LaneBusIo{&bus}, IdentityMap{}, ctx.lanes);
+    execute<double>(instrs_, ctx, buses, IdentityMap{}, ctx.lanes);
   }
 }
 
 void BytecodeProgram::run_masked(Precision precision, const BcContext& ctx,
-                                 LaneSensorBus& bus,
+                                 SensorBus* const* buses,
                                  const std::uint32_t* lane_ids,
                                  std::size_t n_active) const {
   if (precision == Precision::kFloat32) {
-    execute<float>(instrs_, ctx, LaneBusIo{&bus}, IndexMap{lane_ids},
-                   n_active);
+    execute<float>(instrs_, ctx, buses, IndexMap{lane_ids}, n_active);
   } else {
-    execute<double>(instrs_, ctx, LaneBusIo{&bus}, IndexMap{lane_ids},
-                    n_active);
-  }
-}
-
-void BytecodeProgram::run_serial(Precision precision, const BcContext& ctx,
-                                 SensorBus& bus) const {
-  if (precision == Precision::kFloat32) {
-    execute<float>(instrs_, ctx, SerialBusIo{&bus}, IdentityMap{}, 1);
-  } else {
-    execute<double>(instrs_, ctx, SerialBusIo{&bus}, IdentityMap{}, 1);
+    execute<double>(instrs_, ctx, buses, IndexMap{lane_ids}, n_active);
   }
 }
 

@@ -1,6 +1,6 @@
 // Bytecode tier: a compiled kernel lowered to a flat instruction stream.
 //
-// The interpreters re-derive everything per node per iteration: operand
+// The interpreter re-derives everything per node per iteration: operand
 // resolution walks the Node table, pipeline edges are re-tested with
 // is_pipeline_edge(), param/state sources scan slot tables, and each node
 // pays a switch on OpKind. Lowering runs that analysis exactly once: each
@@ -8,12 +8,14 @@
 // resolved operand row offsets (values vs pipeline-register bank, param and
 // state slots pre-multiplied by the lane count), so execution is a computed
 // goto over a dense array. Always available — no toolchain dependency — and
-// bit-identical to the interpreters by construction: every handler performs
+// bit-identical to the interpreter by construction: every handler performs
 // the same arithmetic, in the same order, as cgra/exec.hpp and
 // BatchedCgraMachine::run_pass (the Codegen* tests pin it per kernel).
+// BatchedCgraMachine is the only owner; a single-lane machine is a program
+// lowered for one lane.
 //
 // The program evaluates node rows only; latching pipeline registers and
-// states (and the obs bookkeeping) stays in the owning machine's commit, so
+// states (and the obs bookkeeping) stays in the machine's commit, so
 // checkpoints and counters are tier-identical.
 #pragma once
 
@@ -26,8 +28,6 @@
 #include "cgra/sensor.hpp"
 
 namespace citl::cgra {
-
-class LaneSensorBus;  // batch.hpp
 
 /// Dense opcode set of the VM (arithmetic ops mirror OpKind; sources and IO
 /// get their own entry points so no handler re-tests the node class).
@@ -88,17 +88,14 @@ class BytecodeProgram {
   /// so a program is specific to its machine's width).
   BytecodeProgram(const CompiledKernel& kernel, std::size_t lanes);
 
-  /// One functional pass over every lane (BatchedCgraMachine layout).
+  /// One functional pass over every lane; `buses[lane]` serves that lane's
+  /// loads and stores.
   void run_dense(Precision precision, const BcContext& ctx,
-                 LaneSensorBus& bus) const;
+                 SensorBus* const* buses) const;
   /// One functional pass over `lane_ids[0 .. n_active)` (ascending).
   void run_masked(Precision precision, const BcContext& ctx,
-                  LaneSensorBus& bus, const std::uint32_t* lane_ids,
+                  SensorBus* const* buses, const std::uint32_t* lane_ids,
                   std::size_t n_active) const;
-  /// One functional pass of a single-lane machine (CgraMachine layout; the
-  /// lane-less SensorBus).
-  void run_serial(Precision precision, const BcContext& ctx,
-                  SensorBus& bus) const;
 
   [[nodiscard]] std::size_t instruction_count() const noexcept {
     return instrs_.size();  // includes the trailing kHalt

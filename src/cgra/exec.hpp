@@ -1,11 +1,12 @@
 // Shared scalar operator semantics of the CGRA's processing elements.
 //
-// Both interpreters — CgraMachine (one lane, functional or cycle-accurate)
-// and BatchedCgraMachine (N lanes, structure-of-arrays) — must produce
-// bit-identical results; the equivalence tests in test_batch.cpp pin it per
-// kernel. The only way to keep that guarantee cheap is to have exactly one
-// definition of what each operator computes, so the per-op arithmetic lives
-// here and the interpreters differ only in how they walk the graph.
+// Both machines — CgraMachine (the cycle-accurate walk of the schedule) and
+// BatchedCgraMachine (the functional executor, N lanes, structure-of-arrays)
+// — must produce bit-identical results; the equivalence tests in
+// test_batch.cpp pin it per kernel. The only way to keep that guarantee
+// cheap is to have exactly one definition of what each operator computes, so
+// the per-op arithmetic lives here and the machines differ only in how they
+// walk the graph.
 #pragma once
 
 #include <cmath>

@@ -1,12 +1,13 @@
 // Kernel execution tiers.
 //
-// Both machines (CgraMachine, BatchedCgraMachine) can evaluate a compiled
-// kernel through three interchangeable back ends with bit-identical results
-// (the Codegen* tests pin it per kernel and precision):
+// The functional executor (BatchedCgraMachine, any lane count) evaluates a
+// compiled kernel through three interchangeable back ends with bit-identical
+// results (the Codegen* tests pin it per kernel and precision). The
+// cycle-accurate CgraMachine has no tier: it always interprets, since it is
+// the timing twin.
 //
 //   kInterpreter — walk the dataflow graph node by node, dispatching on
-//                  OpKind (the original engine; the cycle-accurate mode is
-//                  always interpreted — it is the timing twin).
+//                  OpKind (the original engine).
 //   kBytecode    — a flat instruction stream lowered once from the compiled
 //                  schedule: operand banks are pre-resolved (pipeline edges,
 //                  param/state slots) and dispatch is a computed goto.
@@ -18,7 +19,7 @@
 //   kAuto        — kNative when a host compiler can be found, else kBytecode.
 //
 // The tier is a configuration knob (FrameworkConfig / TurnLoopConfig /
-// api::SessionConfig), kAuto by default; a machine resolves kAuto and the
+// api::SessionConfig), kAuto by default; the machine resolves kAuto and the
 // no-compiler fallback at construction and reports the tier it actually
 // runs via exec_tier(). Pin kInterpreter to run the original engine.
 #pragma once

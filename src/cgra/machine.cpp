@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "cgra/bytecode.hpp"
-#include "cgra/codegen.hpp"
 #include "cgra/exec.hpp"
 #include "core/error.hpp"
 #include "obs/metrics.hpp"
@@ -11,31 +9,6 @@
 namespace citl::cgra {
 
 namespace {
-
-/// C-ABI bus trampolines for generated kernels (serial machine: the
-/// lane-less SensorBus; the lane argument is ignored).
-double serial_bus_read(void* bus, std::uint32_t /*lane*/, double addr) {
-  const DecodedAddress da = decode_address(addr);
-  return static_cast<SensorBus*>(bus)->read(da.region, da.offset);
-}
-
-void serial_bus_write(void* bus, std::uint32_t /*lane*/, double addr,
-                      double value) {
-  const DecodedAddress da = decode_address(addr);
-  static_cast<SensorBus*>(bus)->write(da.region, da.offset, value);
-}
-
-double serial_bus_read_at(void* bus, std::uint32_t /*lane*/,
-                          std::uint32_t region, double offset) {
-  return static_cast<SensorBus*>(bus)->read(static_cast<SensorRegion>(region),
-                                            offset);
-}
-
-void serial_bus_write_at(void* bus, std::uint32_t /*lane*/,
-                         std::uint32_t region, double offset, double value) {
-  static_cast<SensorBus*>(bus)->write(static_cast<SensorRegion>(region),
-                                      offset, value);
-}
 
 [[noreturn]] void throw_unknown(const CompiledKernel& kernel, const char* what,
                                 std::string_view name) {
@@ -107,20 +80,30 @@ StateHandle find_state(const CompiledKernel& kernel,
 }
 
 CgraMachine::CgraMachine(const CompiledKernel& kernel, SensorBus& bus,
-                         Precision precision, ExecTier tier)
-    : kernel_(&kernel),
+                         Precision precision)
+    : BeamModel(kernel),
       bus_(&bus),
       precision_(precision),
       attribution_counters_(kernel) {
-  tier_ = resolve_exec_tier(tier, kernel, precision, /*lanes=*/1, &native_);
-  if (tier_ == ExecTier::kBytecode) {
-    bytecode_ = std::make_unique<BytecodeProgram>(kernel, /*lanes=*/1);
-  }
   values_.assign(kernel.dfg.size(), 0.0);
   pipe_regs_.assign(kernel.dfg.size(), 0.0);
-  topo_ = kernel.dfg.topo_order();
+  // Issue order: by start cycle, then NodeId. The schedule guarantees every
+  // operand is committed (producer finish <= consumer start), so issuing in
+  // start order and committing at finish reproduces the hardware exactly.
+  const Schedule& sched = kernel.schedule;
+  issue_order_.resize(kernel.dfg.size());
+  for (std::size_t i = 0; i < issue_order_.size(); ++i) {
+    issue_order_[i] = static_cast<NodeId>(i);
+  }
+  const auto start = [&sched](NodeId id) {
+    return sched.placement[static_cast<std::size_t>(id)].start;
+  };
+  std::sort(issue_order_.begin(), issue_order_.end(),
+            [&start](NodeId a, NodeId b) {
+              return start(a) != start(b) ? start(a) < start(b) : a < b;
+            });
   // Node -> param/state slot tables, so source nodes resolve their value in
-  // O(1) inside the interpreter loop instead of scanning the var tables.
+  // O(1) inside the walk instead of scanning the var tables.
   param_slot_.assign(kernel.dfg.size(), -1);
   state_slot_.assign(kernel.dfg.size(), -1);
   const auto& params = kernel.dfg.params();
@@ -137,7 +120,7 @@ CgraMachine::CgraMachine(const CompiledKernel& kernel, SensorBus& bus,
 }
 
 void CgraMachine::reset() {
-  const Dfg& g = kernel_->dfg;
+  const Dfg& g = kernel().dfg;
   state_vals_.clear();
   for (const auto& s : g.states()) state_vals_.push_back(s.initial);
   param_vals_.clear();
@@ -148,14 +131,14 @@ void CgraMachine::reset() {
 }
 
 void CgraMachine::check_lane(std::size_t lane) const {
-  if (lane != 0) detail::throw_lane_out_of_range(*kernel_, lane, 1);
+  if (lane != 0) detail::throw_lane_out_of_range(kernel(), lane, 1);
 }
 
 void CgraMachine::set_param(ParamHandle h, double value, std::size_t lane) {
   check_lane(lane);
   if (!h.valid() ||
       static_cast<std::size_t>(h.index) >= param_vals_.size()) {
-    detail::throw_invalid_handle(*kernel_, "parameter");
+    detail::throw_invalid_handle(kernel(), "parameter");
   }
   param_vals_[static_cast<std::size_t>(h.index)] = quantise(value);
 }
@@ -164,7 +147,7 @@ double CgraMachine::param(ParamHandle h, std::size_t lane) const {
   check_lane(lane);
   if (!h.valid() ||
       static_cast<std::size_t>(h.index) >= param_vals_.size()) {
-    detail::throw_invalid_handle(*kernel_, "parameter");
+    detail::throw_invalid_handle(kernel(), "parameter");
   }
   return param_vals_[static_cast<std::size_t>(h.index)];
 }
@@ -173,7 +156,7 @@ double CgraMachine::state(StateHandle h, std::size_t lane) const {
   check_lane(lane);
   if (!h.valid() ||
       static_cast<std::size_t>(h.index) >= state_vals_.size()) {
-    detail::throw_invalid_handle(*kernel_, "state");
+    detail::throw_invalid_handle(kernel(), "state");
   }
   return state_vals_[static_cast<std::size_t>(h.index)];
 }
@@ -204,25 +187,9 @@ void CgraMachine::set_state(StateHandle h, double value, std::size_t lane) {
   check_lane(lane);
   if (!h.valid() ||
       static_cast<std::size_t>(h.index) >= state_vals_.size()) {
-    detail::throw_invalid_handle(*kernel_, "state");
+    detail::throw_invalid_handle(kernel(), "state");
   }
   state_vals_[static_cast<std::size_t>(h.index)] = quantise(value);
-}
-
-void CgraMachine::set_param(const std::string& name, double value) {
-  set_param(cgra::param_handle(*kernel_, name), value);
-}
-
-double CgraMachine::param(const std::string& name) const {
-  return param(cgra::param_handle(*kernel_, name));
-}
-
-double CgraMachine::state(const std::string& name) const {
-  return state(cgra::state_handle(*kernel_, name));
-}
-
-void CgraMachine::set_state(const std::string& name, double value) {
-  set_state(cgra::state_handle(*kernel_, name), value);
 }
 
 double CgraMachine::value(NodeId node) const {
@@ -236,131 +203,15 @@ double CgraMachine::quantise(double v) const noexcept {
              : v;
 }
 
-double CgraMachine::operand(NodeId consumer, NodeId producer) const {
-  // Pipeline edges read the register written in the previous iteration.
-  if (kernel_->dfg.is_pipeline_edge(producer, consumer)) {
-    return pipe_regs_[static_cast<std::size_t>(producer)];
-  }
-  return values_[static_cast<std::size_t>(producer)];
-}
-
 double CgraMachine::eval(const Node& n, double a, double b, double c) {
   return precision_ == Precision::kFloat32
              ? detail::eval_scalar<float>(n.kind, a, b, c)
              : detail::eval_scalar<double>(n.kind, a, b, c);
 }
 
-CgraMachine::~CgraMachine() = default;
-
-void CgraMachine::run_iteration() {
-  // Per-tier iteration series (exec_tier.hpp ordering): which back end the
-  // functional path actually ran.
-  static obs::Counter* const tier_counters[3] = {
-      &obs::Registry::global().counter("cgra.exec.iterations.interpreter"),
-      &obs::Registry::global().counter("cgra.exec.iterations.bytecode"),
-      &obs::Registry::global().counter("cgra.exec.iterations.native")};
-  tier_counters[static_cast<int>(tier_)]->add();
-  switch (tier_) {
-    case ExecTier::kNative: {
-      NativeCtx ctx;
-      ctx.values = values_.data();
-      ctx.pipe_regs = pipe_regs_.data();
-      ctx.state_vals = state_vals_.data();
-      ctx.param_vals = param_vals_.data();
-      ctx.bus = bus_;
-      ctx.bus_read = &serial_bus_read;
-      ctx.bus_write = &serial_bus_write;
-      ctx.bus_read_at = &serial_bus_read_at;
-      ctx.bus_write_at = &serial_bus_write_at;
-      native_->run_dense(ctx);
-      commit_iteration();
-      break;
-    }
-    case ExecTier::kBytecode: {
-      BcContext ctx;
-      ctx.values = values_.data();
-      ctx.pipe_regs = pipe_regs_.data();
-      ctx.state_vals = state_vals_.data();
-      ctx.param_vals = param_vals_.data();
-      ctx.lanes = 1;
-      ctx.scratch_f = scratch_f_.data();
-      ctx.scratch_d = scratch_d_.data();
-      bytecode_->run_serial(precision_, ctx, *bus_);
-      commit_iteration();
-      break;
-    }
-    default:
-      run_iteration_interpreted();
-      break;
-  }
-}
-
-void CgraMachine::run_iteration_interpreted() {
-  const Dfg& g = kernel_->dfg;
-  for (NodeId id : topo_) {
-    const Node& n = g.node(id);
-    double out = 0.0;
-    switch (n.kind) {
-      case OpKind::kConst:
-        out = quantise(n.constant);
-        break;
-      case OpKind::kParam:
-        out = param_vals_[static_cast<std::size_t>(
-            param_slot_[static_cast<std::size_t>(id)])];
-        break;
-      case OpKind::kState:
-        out = state_vals_[static_cast<std::size_t>(
-            state_slot_[static_cast<std::size_t>(id)])];
-        break;
-      case OpKind::kLoad: {
-        const double addr = operand(id, n.args[0]);
-        const DecodedAddress da = decode_address(addr);
-        out = quantise(bus_->read(da.region, da.offset));
-        break;
-      }
-      case OpKind::kStore: {
-        const double addr = operand(id, n.args[0]);
-        const double val = operand(id, n.args[1]);
-        const DecodedAddress da = decode_address(addr);
-        bus_->write(da.region, da.offset, val);
-        out = val;
-        break;
-      }
-      case OpKind::kMove:
-        out = operand(id, n.args[0]);
-        break;
-      default: {
-        const double a = n.arity() > 0 ? operand(id, n.args[0]) : 0.0;
-        const double b = n.arity() > 1 ? operand(id, n.args[1]) : 0.0;
-        const double c = n.arity() > 2 ? operand(id, n.args[2]) : 0.0;
-        out = eval(n, a, b, c);
-        break;
-      }
-    }
-    values_[static_cast<std::size_t>(id)] = out;
-  }
-  commit_iteration();
-}
-
 unsigned CgraMachine::run_iteration_cycle_accurate() {
-  const Dfg& g = kernel_->dfg;
-  const Schedule& sched = kernel_->schedule;
-
-  // Issue order: by start cycle, then NodeId. The schedule guarantees every
-  // operand is committed (producer finish <= consumer start), so issuing in
-  // start order and committing at finish reproduces the hardware exactly.
-  struct Event {
-    unsigned start;
-    NodeId node;
-  };
-  std::vector<Event> events;
-  events.reserve(g.size());
-  for (std::size_t i = 0; i < g.size(); ++i) {
-    events.push_back({sched.placement[i].start, static_cast<NodeId>(i)});
-  }
-  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
-    return a.start != b.start ? a.start < b.start : a.node < b.node;
-  });
+  const Dfg& g = kernel().dfg;
+  const Schedule& sched = kernel().schedule;
 
   std::vector<double> committed = values_;  // results visible to consumers
   struct PendingWrite {
@@ -382,8 +233,10 @@ unsigned CgraMachine::run_iteration_cycle_accurate() {
       }
     }
     // Issue ops starting this cycle.
-    while (next_event < events.size() && events[next_event].start == cycle) {
-      const NodeId id = events[next_event].node;
+    while (next_event < issue_order_.size() &&
+           sched.placement[static_cast<std::size_t>(issue_order_[next_event])]
+                   .start == cycle) {
+      const NodeId id = issue_order_[next_event];
       ++next_event;
       const Node& n = g.node(id);
       auto read_operand = [&](NodeId producer) {
@@ -439,7 +292,7 @@ unsigned CgraMachine::run_iteration_cycle_accurate() {
 }
 
 void CgraMachine::commit_iteration() {
-  const Dfg& g = kernel_->dfg;
+  const Dfg& g = kernel().dfg;
   // Pipeline registers latch this iteration's stage-0 values.
   for (std::size_t i = 0; i < g.size(); ++i) {
     if (g.node(static_cast<NodeId>(i)).stage == 0) {
@@ -459,7 +312,7 @@ void CgraMachine::commit_iteration() {
   static obs::Counter& cycles =
       obs::Registry::global().counter("cgra.schedule_cycles");
   iterations.add();
-  cycles.add(kernel_->schedule.length);
+  cycles.add(kernel().schedule.length);
   attribution_counters_.add_iterations(1);
 }
 

@@ -1,26 +1,29 @@
-// CGRA machine: executes a compiled kernel.
+// CGRA machines: the model interface and the cycle-accurate reference.
 //
-// Two execution modes with identical results (a tested invariant):
-//   * functional  — evaluates the dataflow graph in topological order; fast,
-//                   used for long closed-loop runs,
-//   * cycle-accurate — walks the schedule cycle by cycle, issuing each
-//                   operation on its PE at its context slot and committing
-//                   results at op latency; IO hits the bus at the scheduled
-//                   cycle. This mode is the software twin of the overlay and
-//                   provides the deterministic timing the paper relies on.
+// A compiled kernel runs on one of two machines with identical results (a
+// tested invariant):
+//   * BatchedCgraMachine (batch.hpp) — the functional executor: evaluates the
+//                   dataflow graph in topological order over N lanes, on the
+//                   interpreter, bytecode or native tier (exec_tier.hpp).
+//                   With one lane it runs every long closed-loop simulation.
+//   * CgraMachine (here) — the cycle-accurate reference: walks the schedule
+//                   cycle by cycle, issuing each operation on its PE at its
+//                   context slot and committing results at op latency; IO
+//                   hits the bus at the scheduled cycle. This is the
+//                   software twin of the overlay and provides the
+//                   deterministic timing the paper relies on.
 //
 // Arithmetic is performed in IEEE binary32 by default — the overlay's PEs
 // are single-precision floating-point operators — with an optional binary64
 // mode for precision studies.
 //
 // Model-facing API: parameters and loop-carried states are addressed through
-// ParamHandle / StateHandle, resolved once from the kernel. The string
-// overloads resolve a handle and delegate; they exist for interactive use
-// (console, tests) and must stay off per-revolution hot paths.
+// ParamHandle / StateHandle, resolved once from the kernel. By-name access
+// for interactive use (console, tests) goes through the citl::api helpers
+// (api/api.hpp), which resolve a handle per call and must stay off
+// per-revolution hot paths.
 #pragma once
 
-#include <array>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -31,9 +34,6 @@
 #include "cgra/sensor.hpp"
 
 namespace citl::cgra {
-
-class BytecodeProgram;  // bytecode.hpp
-class NativeKernel;     // codegen.hpp
 
 enum class Precision { kFloat32, kFloat64 };
 
@@ -66,32 +66,34 @@ struct StateHandle {
 namespace detail {
 /// Shared ConfigError construction for every kernel-executing machine, so a
 /// stale handle or an out-of-range lane reports identically (kernel + key
-/// naming) whether CgraMachine or BatchedCgraMachine raised it — and the
-/// string-keyed wrappers, which resolve through param_handle/state_handle,
-/// report identically to a direct handle lookup.
+/// naming) whether CgraMachine or BatchedCgraMachine raised it.
 [[noreturn]] void throw_invalid_handle(const CompiledKernel& kernel,
                                        const char* what);
 [[noreturn]] void throw_lane_out_of_range(const CompiledKernel& kernel,
                                           std::size_t lane, std::size_t lanes);
 }  // namespace detail
 
-/// Common interface of the kernel-executing machines: CgraMachine is the
-/// single-lane implementation, BatchedCgraMachine (batch.hpp) runs N lanes
-/// of the same kernel in lockstep. hil::Framework, hil::TurnLoop and the
-/// sweep engine drive models through this interface so a loop body is
-/// agnostic about whether it owns lane 0 of a batch or a whole machine.
+/// Common interface of the kernel-executing machines: BatchedCgraMachine
+/// (batch.hpp) runs N lanes of the same kernel functionally in lockstep,
+/// CgraMachine runs one lane cycle by cycle. hil::Framework, hil::TurnLoop
+/// and the sweep engine drive models through this interface so a loop body
+/// is agnostic about whether it owns a machine or one lane of a shared one.
 class BeamModel {
  public:
   virtual ~BeamModel() = default;
 
-  [[nodiscard]] virtual const CompiledKernel& kernel() const noexcept = 0;
+  /// The kernel this model executes; it must outlive the model.
+  [[nodiscard]] const CompiledKernel& kernel() const noexcept {
+    return *kernel_;
+  }
   /// Number of independent lanes (scenarios) this model executes per
   /// iteration. CgraMachine: always 1.
   [[nodiscard]] virtual std::size_t lanes() const noexcept = 0;
 
   /// The execution tier this model actually runs (kAuto and the no-compiler
   /// fallback are resolved at construction — never kAuto here). All tiers
-  /// are bit-identical; this is for reporting and tests.
+  /// are bit-identical; this is for reporting and tests. The cycle-accurate
+  /// walk always interprets.
   [[nodiscard]] virtual ExecTier exec_tier() const noexcept {
     return ExecTier::kInterpreter;
   }
@@ -110,9 +112,10 @@ class BeamModel {
   [[nodiscard]] virtual double state(StateHandle h,
                                      std::size_t lane) const = 0;
 
-  /// Runs one kernel iteration on every lane (functionally); returns the
-  /// CGRA clock ticks one iteration occupies (== schedule length — identical
-  /// in functional and cycle-accurate execution, a tested invariant).
+  /// Runs one kernel iteration on every lane (functionally on
+  /// BatchedCgraMachine, cycle by cycle on CgraMachine); returns the CGRA
+  /// clock ticks one iteration occupies (== schedule length — identical in
+  /// functional and cycle-accurate execution, a tested invariant).
   virtual unsigned run_iteration_all_lanes() = 0;
 
   // --- checkpoint hooks (hil::Supervisor guard layer) ---------------------
@@ -150,22 +153,25 @@ class BeamModel {
   [[nodiscard]] StateHandle state_handle(std::string_view name) const {
     return cgra::state_handle(kernel(), name);
   }
+
+ protected:
+  explicit BeamModel(const CompiledKernel& kernel) noexcept
+      : kernel_(&kernel) {}
+
+ private:
+  const CompiledKernel* kernel_;
 };
 
 class CgraMachine final : public BeamModel {
  public:
   /// The machine keeps a reference to the kernel and the bus; both must
-  /// outlive it. `tier` picks the execution back end for the functional
-  /// path (exec_tier.hpp); the cycle-accurate path always interprets.
+  /// outlive it.
   CgraMachine(const CompiledKernel& kernel, SensorBus& bus,
-              Precision precision = Precision::kFloat32,
-              ExecTier tier = ExecTier::kInterpreter);
-  ~CgraMachine() override;
+              Precision precision = Precision::kFloat32);
 
   /// Resets states to their initial values and clears pipeline registers.
   void reset() override;
 
-  // --- handle-based access (the hot-path API) -----------------------------
   void set_param(ParamHandle h, double value, std::size_t lane = 0) override;
   [[nodiscard]] double param(ParamHandle h,
                              std::size_t lane = 0) const override;
@@ -178,33 +184,13 @@ class CgraMachine final : public BeamModel {
   void snapshot_pipe_regs(std::size_t lane, double* out) const override;
   void restore_pipe_regs(std::size_t lane, const double* values) override;
 
-  // --- string-keyed access (deprecated wrappers) --------------------------
-  // Resolve a handle per call and delegate. Deprecated: use
-  // param_handle()/state_handle() on hot paths, or the citl::api by-name
-  // helpers (api/api.hpp) for interactive/RPC access — they carry the same
-  // per-call-resolution semantics without pinning callers to CgraMachine.
-  [[deprecated("use param_handle()/set_param(handle,...) or "
-               "api::set_kernel_param")]]
-  void set_param(const std::string& name, double value);
-  [[deprecated("use param_handle()/param(handle,...) or api::kernel_param")]]
-  [[nodiscard]] double param(const std::string& name) const;
-  [[deprecated("use state_handle()/state(handle,...) or api::kernel_state")]]
-  [[nodiscard]] double state(const std::string& name) const;
-  [[deprecated("use state_handle()/set_state(handle,...) or "
-               "api::set_kernel_state")]]
-  void set_state(const std::string& name, double value);
-
-  /// Runs one loop iteration functionally.
-  void run_iteration();
-
-  unsigned run_iteration_all_lanes() override {
-    run_iteration();
-    return kernel_->schedule.length;
-  }
-
-  /// Runs one loop iteration cycle-by-cycle; returns the number of CGRA
+  /// Runs one loop iteration cycle by cycle; returns the number of CGRA
   /// clock ticks consumed (== schedule length).
   unsigned run_iteration_cycle_accurate();
+
+  unsigned run_iteration_all_lanes() override {
+    return run_iteration_cycle_accurate();
+  }
 
   /// Value computed for `node` in the most recent iteration.
   [[nodiscard]] double value(NodeId node) const;
@@ -212,37 +198,25 @@ class CgraMachine final : public BeamModel {
   [[nodiscard]] std::uint64_t iterations() const noexcept {
     return iterations_;
   }
-  [[nodiscard]] const CompiledKernel& kernel() const noexcept override {
-    return *kernel_;
-  }
   [[nodiscard]] std::size_t lanes() const noexcept override { return 1; }
-  [[nodiscard]] ExecTier exec_tier() const noexcept override { return tier_; }
 
  private:
-  void run_iteration_interpreted();
   [[nodiscard]] double eval(const Node& n, double a, double b, double c);
-  [[nodiscard]] double operand(NodeId consumer, NodeId producer) const;
   void commit_iteration();
   [[nodiscard]] double quantise(double v) const noexcept;
   void check_lane(std::size_t lane) const;
 
-  const CompiledKernel* kernel_;
   SensorBus* bus_;
   Precision precision_;
   std::vector<double> values_;      ///< current-iteration node results
   std::vector<double> pipe_regs_;   ///< previous-iteration stage-0 results
   std::vector<double> state_vals_;  ///< current state values (by state index)
   std::vector<double> param_vals_;  ///< current param values (by param index)
-  std::vector<NodeId> topo_;
+  std::vector<NodeId> issue_order_; ///< nodes by (start cycle, NodeId)
   std::vector<int> param_slot_;     ///< node id -> param index (or -1)
   std::vector<int> state_slot_;     ///< node id -> state index (or -1)
   std::uint64_t iterations_ = 0;
   AttributionCounters attribution_counters_;  ///< per-op cycle metrics
-  ExecTier tier_ = ExecTier::kInterpreter;    ///< resolved (never kAuto)
-  std::unique_ptr<BytecodeProgram> bytecode_;
-  std::shared_ptr<const NativeKernel> native_;
-  std::array<float, 4> scratch_f_{};   ///< single-lane CORDIC scratch
-  std::array<double, 4> scratch_d_{};
 };
 
 }  // namespace citl::cgra

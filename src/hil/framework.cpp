@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "cgra/batch.hpp"
 #include "core/error.hpp"
 #include "core/units.hpp"
 #include "obs/metrics.hpp"
@@ -162,8 +163,8 @@ Framework::Framework(const FrameworkConfig& config,
       beam_trace_("beam_v", 1, 1u << 20) {
   CITL_CHECK_MSG(kernel_ != nullptr, "Framework needs a compiled kernel");
   bus_ = std::make_unique<FrameworkBus>(*this);
-  machine_ = std::make_unique<cgra::CgraMachine>(
-      *kernel_, *bus_, cgra::Precision::kFloat32, config.exec_tier);
+  machine_ = cgra::make_loop_model(*kernel_, *bus_, config.cycle_accurate_cgra,
+                                  config.exec_tier);
   exec_model_ = machine_.get();
   control_on_ = config.control_enabled;
   last_phase_ = std::numeric_limits<double>::quiet_NaN();
@@ -294,12 +295,7 @@ void Framework::run_cgra() {
     return;
   }
   CITL_TRACE_SPAN("hil.cgra_revolution");
-  unsigned exec_cycles = kernel_->schedule.length;
-  if (config_.cycle_accurate_cgra) {
-    exec_cycles = machine_->run_iteration_cycle_accurate();
-  } else {
-    machine_->run_iteration();
-  }
+  const unsigned exec_cycles = machine_->run_iteration_all_lanes();
   account_cgra_run(exec_cycles + stall, budget_cycles, time_s());
   post_turn();
 }

@@ -81,6 +81,8 @@ struct FrameworkConfig {
   double iq_averaging_revolutions = 8.0;
   ctrl::ControllerConfig controller;
   std::optional<ctrl::PhaseJumpProgramme> jumps;
+  /// Own the cycle-accurate CgraMachine instead of the functional 1-lane
+  /// machine: same bits, cycle-by-cycle walk of the schedule.
   bool cycle_accurate_cgra = false;
   /// Kernel execution back end (cgra/exec_tier.hpp). All tiers are
   /// bit-identical; the default kAuto picks native codegen when a host
@@ -109,7 +111,7 @@ class Framework {
   /// kernel must equal `compile_kernel(beam_kernel_source(
   /// effective_kernel_config(config)), config.arch)` — scenario sweeps use
   /// this with a kernel cache so a hundred frameworks share one compilation.
-  /// Each framework still owns its private CgraMachine (all mutable state).
+  /// Each framework owns its private model (all mutable state).
   Framework(const FrameworkConfig& config,
             std::shared_ptr<const cgra::CompiledKernel> kernel);
   ~Framework();
@@ -131,8 +133,8 @@ class Framework {
   // --- deferred CGRA execution (batched sweeps) ---------------------------
   // In deferred mode a reference crossing *requests* a kernel iteration
   // instead of running the private machine; an external driver executes one
-  // batched iteration across many frameworks' lanes (their buses attached
-  // through a cgra::PerLaneBusAdapter) and then acknowledges each lane. The
+  // batched iteration across many frameworks' lanes (each framework's bus is
+  // its lane's bus) and then acknowledges each lane. The
   // framework is parked right after the crossing tick, so every bus read and
   // actuator write the kernel performs observes exactly the state the serial
   // path would have seen (docs/BATCHING.md discusses the one exception, the
@@ -155,8 +157,8 @@ class Framework {
 
   /// Points the injector's state faults and the supervisor's state guard at
   /// the model that actually executes this framework's kernel — call after
-  /// attaching the bus to lane `lane` of a batched machine. The owned
-  /// CgraMachine (lane 0) is the default.
+  /// attaching the bus to lane `lane` of a batched machine. The owned model
+  /// (lane 0) is the default.
   void attach_cgra_model(cgra::BeamModel& model, std::size_t lane);
 
   /// The fault injector driving this run (nullptr on a fault-free run).
@@ -191,7 +193,8 @@ class Framework {
   [[nodiscard]] const cgra::CompiledKernel& kernel() const noexcept {
     return *kernel_;
   }
-  [[nodiscard]] cgra::CgraMachine& machine() noexcept { return *machine_; }
+  /// The owned model (cgra::make_loop_model), chosen once at construction.
+  [[nodiscard]] cgra::BeamModel& machine() noexcept { return *machine_; }
   [[nodiscard]] ParameterBus& params() noexcept { return params_; }
   [[nodiscard]] const FrameworkConfig& config() const noexcept {
     return config_;
@@ -236,7 +239,7 @@ class Framework {
   FrameworkConfig config_;
   std::shared_ptr<const cgra::CompiledKernel> kernel_;
   std::unique_ptr<FrameworkBus> bus_;
-  std::unique_ptr<cgra::CgraMachine> machine_;
+  std::unique_ptr<cgra::BeamModel> machine_;
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<Supervisor> supervisor_;
   cgra::BeamModel* exec_model_ = nullptr;  ///< model executing this lane

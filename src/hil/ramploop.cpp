@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 
+#include "cgra/batch.hpp"
 #include "core/error.hpp"
 #include "core/units.hpp"
 #include "phys/relativity.hpp"
@@ -66,7 +67,8 @@ RampLoop::RampLoop(const RampLoopConfig& config) : config_(config) {
   kernel_ = cgra::compile_kernel(cgra::ramp_beam_kernel_source(kc),
                                  config.arch, "beam_ramp");
   bus_ = std::make_unique<RampBus>(kc.sample_rate_hz, kc.ring.harmonic);
-  machine_ = std::make_unique<cgra::CgraMachine>(kernel_, *bus_);
+  machine_ = cgra::make_loop_model(kernel_, *bus_, config.cycle_accurate,
+                                  cgra::ExecTier::kInterpreter);
   h_dt0_ = cgra::state_handle(kernel_, "dt0");
   h_dgamma0_ = cgra::state_handle(kernel_, "dgamma0");
 }
@@ -79,8 +81,8 @@ double RampLoop::f_ref_hz() const noexcept {
 }
 
 void RampLoop::displace(double dgamma, double dt_s) {
-  machine_->set_state(h_dgamma0_, dgamma);
-  machine_->set_state(h_dt0_, dt_s);
+  machine_->set_state(h_dgamma0_, dgamma, 0);
+  machine_->set_state(h_dt0_, dt_s, 0);
 }
 
 RampRecord RampLoop::step() {
@@ -113,11 +115,7 @@ RampRecord RampLoop::step() {
   bus_->sync_phase_rad = phi_s;
   bus_->adc_amplitude_v = vhat;  // v_scale = 1: bus serves physical volts
 
-  if (config_.cycle_accurate) {
-    machine_->run_iteration_cycle_accurate();
-  } else {
-    machine_->run_iteration();
-  }
+  machine_->run_iteration_all_lanes();
   time_s_ += t_rev;
 
   RampRecord r;
@@ -125,8 +123,8 @@ RampRecord RampLoop::step() {
   r.f_ref_hz = f_now;
   r.gap_amplitude_v = vhat;
   r.sync_phase_rad = phi_s;
-  r.dt_s = machine_->state(h_dt0_);
-  r.dgamma = machine_->state(h_dgamma0_);
+  r.dt_s = machine_->state(h_dt0_, 0);
+  r.dgamma = machine_->state(h_dgamma0_, 0);
   const double bucket_half = 0.5 * t_rev / ring.harmonic;
   r.bucket_fill = std::abs(r.dt_s) / bucket_half;
   return r;

@@ -71,7 +71,6 @@ class RampLoop {
   [[nodiscard]] const cgra::CompiledKernel& kernel() const noexcept {
     return kernel_;
   }
-  [[nodiscard]] cgra::CgraMachine& machine() noexcept { return *machine_; }
 
  private:
   class RampBus;
@@ -79,7 +78,7 @@ class RampLoop {
   RampLoopConfig config_;
   cgra::CompiledKernel kernel_;
   std::unique_ptr<RampBus> bus_;
-  std::unique_ptr<cgra::CgraMachine> machine_;
+  std::unique_ptr<cgra::BeamModel> machine_;  ///< cgra::make_loop_model
   cgra::StateHandle h_dt0_;
   cgra::StateHandle h_dgamma0_;
   double time_s_ = 0.0;

@@ -3,6 +3,7 @@
 #include <array>
 #include <cmath>
 
+#include "cgra/batch.hpp"
 #include "core/error.hpp"
 #include "core/units.hpp"
 #include "obs/metrics.hpp"
@@ -105,6 +106,16 @@ TurnLoop::TurnLoop(const TurnLoopConfig& config)
 
 TurnLoop::TurnLoop(const TurnLoopConfig& config,
                    std::shared_ptr<const cgra::CompiledKernel> kernel)
+    : TurnLoop(config, std::move(kernel), /*own_model=*/true) {}
+
+TurnLoop::TurnLoop(const TurnLoopConfig& config,
+                   std::shared_ptr<const cgra::CompiledKernel> kernel,
+                   ExternalModel)
+    : TurnLoop(config, std::move(kernel), /*own_model=*/false) {}
+
+TurnLoop::TurnLoop(const TurnLoopConfig& config,
+                   std::shared_ptr<const cgra::CompiledKernel> kernel,
+                   bool own_model)
     : config_(config),
       controller_(config.controller),
       decimator_(static_cast<std::size_t>(
@@ -129,9 +140,11 @@ TurnLoop::TurnLoop(const TurnLoopConfig& config,
                                        config.gap_amplitude_v,
                                        config.gap_h2_ratio,
                                        config.gap_h2_phase_rad);
-  machine_ = std::make_unique<cgra::CgraMachine>(
-      *kernel_, *bus_, cgra::Precision::kFloat32, config.exec_tier);
-  model_ = machine_.get();
+  if (own_model) {
+    owned_model_ = cgra::make_loop_model(*kernel_, *bus_, config.cycle_accurate,
+                                         config.exec_tier);
+    model_ = owned_model_.get();
+  }
 
   h_v_hat_ = cgra::find_param(*kernel_, "v_hat");
   h_gap_phase_ = cgra::find_param(*kernel_, "gap_phase");
@@ -151,21 +164,9 @@ TurnLoop::TurnLoop(const TurnLoopConfig& config,
   }
   if (config.supervisor.enabled) {
     supervisor_ = std::make_unique<Supervisor>(config.supervisor);
-    supervisor_->attach_model(*machine_, 0);
-  }
-}
-
-TurnLoop::TurnLoop(const TurnLoopConfig& config,
-                   std::shared_ptr<const cgra::CompiledKernel> kernel,
-                   ExternalModel)
-    : TurnLoop(config, std::move(kernel)) {
-  // Drop the owned machine: execution happens through an attached lane.
-  machine_.reset();
-  model_ = nullptr;
-  if (supervisor_ != nullptr) {
-    // Fresh supervisor without a model: attach_model() points its state
-    // guard at the shared lane (no turn has run yet, so nothing is lost).
-    supervisor_ = std::make_unique<Supervisor>(config.supervisor);
+    // Without an owned model, attach_model() points the state guard at the
+    // shared lane.
+    if (model_ != nullptr) supervisor_->attach_model(*model_, 0);
   }
 }
 
@@ -372,19 +373,11 @@ TurnRecord TurnLoop::finish_turn(unsigned exec_cycles) {
 
 TurnRecord TurnLoop::step() {
   begin_turn();
-  unsigned exec_cycles;
-  if (config_.cycle_accurate) {
-    CITL_CHECK_MSG(machine_ != nullptr,
-                   "cycle-accurate stepping needs the owned machine");
-    exec_cycles = machine_->run_iteration_cycle_accurate();
-  } else {
-    // Owned machines have one lane; a multi-lane attached model must be
-    // driven through begin_turn()/finish_turn() by its batch driver instead.
-    CITL_CHECK_MSG(model_->lanes() == 1,
-                   "step() would iterate every lane of a shared model");
-    exec_cycles = model_->run_iteration_all_lanes();
-  }
-  return finish_turn(exec_cycles);
+  // Owned models have one lane; a multi-lane attached model must be driven
+  // through begin_turn()/finish_turn() by its batch driver instead.
+  CITL_CHECK_MSG(model_->lanes() == 1,
+                 "step() would iterate every lane of a shared model");
+  return finish_turn(model_->run_iteration_all_lanes());
 }
 
 void TurnLoop::run(std::int64_t turns,

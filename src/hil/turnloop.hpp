@@ -51,7 +51,9 @@ struct TurnLoopConfig {
   bool control_enabled = true;
   ctrl::ControllerConfig controller;
   std::optional<ctrl::PhaseJumpProgramme> jumps;
-  bool cycle_accurate = false;         ///< run the CGRA cycle-by-cycle
+  /// Own the cycle-accurate CgraMachine instead of the functional 1-lane
+  /// machine: same bits, cycle-by-cycle walk of the schedule.
+  bool cycle_accurate = false;
   /// Kernel execution back end (cgra/exec_tier.hpp). All tiers are
   /// bit-identical; the default kAuto picks native codegen when a host
   /// compiler exists (else bytecode). The cycle-accurate mode always
@@ -135,14 +137,12 @@ class TurnLoop {
   /// inputs instead — use jump programmes for that).
   void displace(double dgamma, double dt_s);
 
-  /// The loop's analytic sensor bus — attach it as this loop's lane of a
-  /// cgra::PerLaneBusAdapter when executing through a batched machine.
+  /// The loop's analytic sensor bus — pass it as this loop's lane bus when
+  /// executing through a shared cgra::BatchedCgraMachine.
   [[nodiscard]] cgra::SensorBus& cgra_bus() noexcept;
 
   [[nodiscard]] double time_s() const noexcept { return time_s_; }
   [[nodiscard]] std::int64_t turn() const noexcept { return turn_; }
-  /// Owned machine (null in ExternalModel mode — only call on owned loops).
-  [[nodiscard]] cgra::CgraMachine& machine() noexcept { return *machine_; }
   /// The model executing this loop's kernel (owned machine or attached lane).
   [[nodiscard]] cgra::BeamModel& model() noexcept { return *model_; }
   [[nodiscard]] std::size_t lane() const noexcept { return lane_; }
@@ -221,11 +221,16 @@ class TurnLoop {
  private:
   class AnalyticBus;
 
+  TurnLoop(const TurnLoopConfig& config,
+           std::shared_ptr<const cgra::CompiledKernel> kernel, bool own_model);
+
   TurnLoopConfig config_;
   std::shared_ptr<const cgra::CompiledKernel> kernel_;
   std::unique_ptr<AnalyticBus> bus_;
-  std::unique_ptr<cgra::CgraMachine> machine_;  ///< null in ExternalModel mode
-  cgra::BeamModel* model_ = nullptr;            ///< machine_ or attached lane
+  /// Chosen once at construction (cgra::make_loop_model); null in
+  /// ExternalModel mode.
+  std::unique_ptr<cgra::BeamModel> owned_model_;
+  cgra::BeamModel* model_ = nullptr;  ///< owned_model_ or attached lane
   std::size_t lane_ = 0;
   std::unique_ptr<fault::FaultInjector> injector_;
   std::unique_ptr<Supervisor> supervisor_;

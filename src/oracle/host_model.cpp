@@ -23,14 +23,23 @@ double cordic_sin(double angle) {
   return s;
 }
 
+const cgra::CompiledKernel& checked_kernel(
+    const std::shared_ptr<const cgra::CompiledKernel>& kernel) {
+  CITL_CHECK_MSG(kernel != nullptr, "host model needs a kernel");
+  return *kernel;
+}
+
 }  // namespace
 
 HostReferenceModel::HostReferenceModel(
     std::shared_ptr<const cgra::CompiledKernel> kernel,
     const cgra::BeamKernelConfig& cfg, bool analytic, cgra::SensorBus& bus)
-    : kernel_(std::move(kernel)), cfg_(cfg), analytic_(analytic), bus_(&bus) {
-  CITL_CHECK_MSG(kernel_ != nullptr, "host model needs a kernel");
-  const auto& dfg = kernel_->dfg;
+    : BeamModel(checked_kernel(kernel)),
+      kernel_owner_(std::move(kernel)),
+      cfg_(cfg),
+      analytic_(analytic),
+      bus_(&bus) {
+  const auto& dfg = kernel_owner_->dfg;
   s_dgamma_.assign(static_cast<std::size_t>(cfg_.n_bunches), -1);
   s_dt_.assign(static_cast<std::size_t>(cfg_.n_bunches), -1);
   for (std::size_t s = 0; s < dfg.states().size(); ++s) {
@@ -70,7 +79,7 @@ HostReferenceModel::HostReferenceModel(
 }
 
 void HostReferenceModel::reset() {
-  const auto& dfg = kernel_->dfg;
+  const auto& dfg = kernel().dfg;
   states_.resize(dfg.states().size());
   for (std::size_t s = 0; s < states_.size(); ++s) {
     states_[s] = dfg.states()[s].initial;
@@ -83,14 +92,14 @@ void HostReferenceModel::reset() {
 }
 
 void HostReferenceModel::check_lane(std::size_t lane) const {
-  if (lane != 0) cgra::detail::throw_lane_out_of_range(*kernel_, lane, 1);
+  if (lane != 0) cgra::detail::throw_lane_out_of_range(kernel(), lane, 1);
 }
 
 void HostReferenceModel::set_param(cgra::ParamHandle h, double value,
                                    std::size_t lane) {
   check_lane(lane);
   if (!h.valid() || static_cast<std::size_t>(h.index) >= params_.size()) {
-    cgra::detail::throw_invalid_handle(*kernel_, "parameter");
+    cgra::detail::throw_invalid_handle(kernel(), "parameter");
   }
   params_[static_cast<std::size_t>(h.index)] = value;
 }
@@ -98,7 +107,7 @@ void HostReferenceModel::set_param(cgra::ParamHandle h, double value,
 double HostReferenceModel::param(cgra::ParamHandle h, std::size_t lane) const {
   check_lane(lane);
   if (!h.valid() || static_cast<std::size_t>(h.index) >= params_.size()) {
-    cgra::detail::throw_invalid_handle(*kernel_, "parameter");
+    cgra::detail::throw_invalid_handle(kernel(), "parameter");
   }
   return params_[static_cast<std::size_t>(h.index)];
 }
@@ -107,7 +116,7 @@ void HostReferenceModel::set_state(cgra::StateHandle h, double value,
                                    std::size_t lane) {
   check_lane(lane);
   if (!h.valid() || static_cast<std::size_t>(h.index) >= states_.size()) {
-    cgra::detail::throw_invalid_handle(*kernel_, "state");
+    cgra::detail::throw_invalid_handle(kernel(), "state");
   }
   states_[static_cast<std::size_t>(h.index)] = value;
 }
@@ -115,7 +124,7 @@ void HostReferenceModel::set_state(cgra::StateHandle h, double value,
 double HostReferenceModel::state(cgra::StateHandle h, std::size_t lane) const {
   check_lane(lane);
   if (!h.valid() || static_cast<std::size_t>(h.index) >= states_.size()) {
-    cgra::detail::throw_invalid_handle(*kernel_, "state");
+    cgra::detail::throw_invalid_handle(kernel(), "state");
   }
   return states_[static_cast<std::size_t>(h.index)];
 }
@@ -149,7 +158,7 @@ unsigned HostReferenceModel::run_iteration_all_lanes() {
   } else {
     run_sampled();
   }
-  return kernel_->schedule.length;
+  return kernel().schedule.length;
 }
 
 void HostReferenceModel::run_sampled() {

@@ -37,9 +37,6 @@ class HostReferenceModel final : public cgra::BeamModel {
                      const cgra::BeamKernelConfig& cfg, bool analytic,
                      cgra::SensorBus& bus);
 
-  [[nodiscard]] const cgra::CompiledKernel& kernel() const noexcept override {
-    return *kernel_;
-  }
   [[nodiscard]] std::size_t lanes() const noexcept override { return 1; }
 
   void reset() override;
@@ -69,7 +66,7 @@ class HostReferenceModel final : public cgra::BeamModel {
   void run_sampled();
   void run_analytic();
 
-  std::shared_ptr<const cgra::CompiledKernel> kernel_;
+  std::shared_ptr<const cgra::CompiledKernel> kernel_owner_;
   cgra::BeamKernelConfig cfg_;
   bool analytic_;
   cgra::SensorBus* bus_;

@@ -102,9 +102,9 @@ class FidelityRun {
       case Fidelity::kSerialF64: {
         auto& loop = *loops_.emplace_back(std::make_unique<TurnLoop>(
             config, kernel_, TurnLoop::ExternalModel{}));
-        model_ = std::make_unique<cgra::CgraMachine>(
-            *kernel_, loop.cgra_bus(), cgra::Precision::kFloat64,
-            config.exec_tier);
+        model_ = std::make_unique<cgra::BatchedCgraMachine>(
+            *kernel_, std::vector<cgra::SensorBus*>{&loop.cgra_bus()},
+            cgra::Precision::kFloat64, config.exec_tier);
         loop.attach_model(*model_, 0);
         break;
       }
@@ -126,9 +126,8 @@ class FidelityRun {
               config, kernel_, TurnLoop::ExternalModel{}));
           buses.push_back(&loop.cgra_bus());
         }
-        adapter_ = std::make_unique<cgra::PerLaneBusAdapter>(std::move(buses));
         model_ = std::make_unique<cgra::BatchedCgraMachine>(
-            *kernel_, batch_lanes, *adapter_,
+            *kernel_, std::move(buses),
             fidelity_ == Fidelity::kBatchedF64 ? cgra::Precision::kFloat64
                                                : cgra::Precision::kFloat32,
             config.exec_tier);
@@ -181,7 +180,6 @@ class FidelityRun {
   // kernel, so it is declared (and therefore destroyed) after them... i.e.
   // declared last, destroyed first.
   std::vector<std::unique_ptr<hil::TurnLoop>> loops_;
-  std::unique_ptr<cgra::PerLaneBusAdapter> adapter_;
   std::unique_ptr<cgra::BeamModel> model_;  ///< null: loops_[0] owns machine
   cgra::StateHandle h_gamma_;
 };
@@ -237,9 +235,7 @@ void append_budget_json(io::JsonWriter& w, const char* name,
   w.end_object();
 }
 
-void write_artifacts(OracleReport& report,
-                     const hil::TurnLoopConfig& loop_config,
-                     const OracleConfig& oracle_config,
+void write_artifacts(OracleReport& report, const OracleConfig& oracle_config,
                      const ToleranceBudget& budget,
                      const std::string& candidate_kernel_name) {
   namespace fs = std::filesystem;
@@ -631,8 +627,7 @@ OracleReport run_oracle(const hil::TurnLoopConfig& loop_config,
   }
 
   if (report.diverged && !oracle_config.artifact_dir.empty()) {
-    write_artifacts(report, loop_config, oracle_config, budget,
-                    candidate_kernel->name);
+    write_artifacts(report, oracle_config, budget, candidate_kernel->name);
   }
 
   return report;

@@ -25,9 +25,10 @@
 namespace citl::oracle {
 
 /// A way of executing one closed-loop turn scenario. Host = the pure-double
-/// reference recursion (oracle/host_model.hpp); serial = CgraMachine;
-/// batched = lane 0 of a BatchedCgraMachine (with sibling lanes running the
-/// identical scenario).
+/// reference recursion (oracle/host_model.hpp); serial = a 1-lane
+/// BatchedCgraMachine at the configured exec tier (the engine a TurnLoop
+/// owns); batched = lane 0 of a multi-lane BatchedCgraMachine (with sibling
+/// lanes running the identical scenario).
 enum class Fidelity : std::uint8_t {
   kHostF64,
   kSerialF32,

@@ -4,7 +4,7 @@
 // around a millisecond — negligible for one framework, but a 100-scenario
 // sweep that varies only controller settings would pay it 100 times and,
 // worse, hold 100 identical schedules in memory. CompiledKernel is immutable
-// after compilation and CgraMachine keeps all mutable execution state
+// after compilation and every machine keeps all mutable execution state
 // privately, so distinct machines can safely share one kernel. The cache
 // hands out shared_ptr<const CompiledKernel> keyed by the full
 // (BeamKernelConfig, CgraArch) pair and guarantees exactly one compilation

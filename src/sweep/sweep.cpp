@@ -394,9 +394,8 @@ void run_framework_chunk(const SweepConfig& config,
     buses[k] = &fws[k]->cgra_bus();
     end_tick[k] = kSampleClock.to_ticks(scenario.duration_s);
   }
-  cgra::PerLaneBusAdapter adapter(std::move(buses));
   cgra::BatchedCgraMachine machine(
-      *kernel, n, adapter, cgra::Precision::kFloat32,
+      *kernel, std::move(buses), cgra::Precision::kFloat32,
       config.scenarios[members[0]].framework.exec_tier);
   for (std::size_t k = 0; k < n; ++k) {
     // Injected state faults and the supervisor's state guard act on this
@@ -475,9 +474,8 @@ void run_turn_chunk(const SweepConfig& config,
     ts[k].reserve(static_cast<std::size_t>(turns[k]));
     phases[k].reserve(static_cast<std::size_t>(turns[k]));
   }
-  cgra::PerLaneBusAdapter adapter(std::move(buses));
   cgra::BatchedCgraMachine machine(
-      *kernel, n, adapter, cgra::Precision::kFloat32,
+      *kernel, std::move(buses), cgra::Precision::kFloat32,
       config.scenarios[members[0]].turnloop.exec_tier);
   for (std::size_t k = 0; k < n; ++k) {
     loops[k]->attach_model(machine, k);

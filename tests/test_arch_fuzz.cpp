@@ -4,6 +4,7 @@
 // configuration with a ConfigError (never a wrong schedule).
 #include <gtest/gtest.h>
 
+#include "cgra/batch.hpp"
 #include "cgra/kernels.hpp"
 #include "cgra/lower.hpp"
 #include "api/api.hpp"
@@ -72,9 +73,10 @@ TEST_P(ArchFuzz, BeamKernelSchedulesCleanlyOnRandomArchitectures) {
   k.arch = arch;
   k.schedule = sched;
   NullSensorBus bus;
-  CgraMachine mf(k, bus), mc(k, bus);
+  BatchedCgraMachine mf(k, {&bus});
+  CgraMachine mc(k, bus);
   for (int i = 0; i < 5; ++i) {
-    mf.run_iteration();
+    mf.run_iteration_all_lanes();
     mc.run_iteration_cycle_accurate();
   }
   for (const auto& s : dfg.states()) {

@@ -1,6 +1,6 @@
 // Batched lane-parallel CGRA execution: bit-identity of every lane to a
-// single-lane CgraMachine (per kernel, per precision, functional and
-// cycle-accurate), lane masking, the handle-based model API, unified error
+// single-lane machine (per kernel, per precision, the functional 1-lane
+// machine and the cycle-accurate CgraMachine), lane masking, the handle-based model API, unified error
 // reporting, and byte-identity of batched sweep reports.
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "api/api.hpp"
 #include "cgra/batch.hpp"
 #include "cgra/kernels.hpp"
 #include "cgra/machine.hpp"
@@ -121,22 +122,20 @@ void expect_lockstep_matches_serial(const CompiledKernel& kernel,
   constexpr std::size_t kLanes = 5;
   constexpr int kIterations = 40;
 
-  // Serial references: one CgraMachine per lane.
+  // Serial references: one single-lane machine per lane — the cycle-accurate
+  // CgraMachine, or the functional machine with one lane.
   std::vector<std::unique_ptr<LaneFnBus>> serial_buses;
-  std::vector<std::unique_ptr<CgraMachine>> serial;
+  std::vector<std::unique_ptr<BeamModel>> serial;
   for (std::size_t lane = 0; lane < kLanes; ++lane) {
     serial_buses.push_back(std::make_unique<LaneFnBus>(lane));
-    serial.push_back(
-        std::make_unique<CgraMachine>(kernel, *serial_buses[lane], precision));
+    serial.push_back(make_loop_model(kernel, *serial_buses[lane],
+                                     serial_cycle_accurate,
+                                     ExecTier::kInterpreter, precision));
     perturb_lane(*serial[lane], 0, lane);
   }
   for (int it = 0; it < kIterations; ++it) {
     for (auto& m : serial) {
-      if (serial_cycle_accurate) {
-        EXPECT_EQ(m->run_iteration_cycle_accurate(), kernel.schedule.length);
-      } else {
-        m->run_iteration();
-      }
+      EXPECT_EQ(m->run_iteration_all_lanes(), kernel.schedule.length);
     }
   }
 
@@ -147,8 +146,7 @@ void expect_lockstep_matches_serial(const CompiledKernel& kernel,
     lane_buses.push_back(std::make_unique<LaneFnBus>(lane));
     bus_ptrs.push_back(lane_buses[lane].get());
   }
-  PerLaneBusAdapter adapter(std::move(bus_ptrs));
-  BatchedCgraMachine batched(kernel, kLanes, adapter, precision);
+  BatchedCgraMachine batched(kernel, std::move(bus_ptrs), precision);
   for (std::size_t lane = 0; lane < kLanes; ++lane) {
     perturb_lane(batched, lane, lane);
   }
@@ -161,7 +159,7 @@ void expect_lockstep_matches_serial(const CompiledKernel& kernel,
   for (std::size_t lane = 0; lane < kLanes; ++lane) {
     for (std::size_t i = 0; i < kernel.dfg.states().size(); ++i) {
       const StateHandle h{static_cast<int>(i)};
-      EXPECT_EQ(serial[lane]->state(h), batched.state(h, lane))
+      EXPECT_EQ(serial[lane]->state(h, 0), batched.state(h, lane))
           << "state '" << kernel.dfg.states()[i].name << "' lane " << lane;
     }
     if (!serial_cycle_accurate) {
@@ -198,12 +196,15 @@ TEST(Batch, LockstepMatchesSerialEveryKernelFloat64) {
 }
 
 TEST(Batch, LockstepMatchesCycleAccurateSingleLane) {
-  // The functional/cycle-accurate equivalence (a tested invariant of
-  // CgraMachine) extends to the batch: batched functional lanes equal a
-  // serial *cycle-accurate* machine bit for bit.
+  // The functional/cycle-accurate equivalence extends to the batch: batched
+  // functional lanes equal a serial *cycle-accurate* machine bit for bit, at
+  // both precisions (the cycle-accurate walk is the only single-lane
+  // implementation independent of the batched engine).
   for (const auto& c : kernel_cases()) {
-    SCOPED_TRACE(c.label);
-    expect_lockstep_matches_serial(c.kernel, Precision::kFloat32, true);
+    for (Precision p : {Precision::kFloat32, Precision::kFloat64}) {
+      SCOPED_TRACE(c.label + (p == Precision::kFloat64 ? " f64" : " f32"));
+      expect_lockstep_matches_serial(c.kernel, p, true);
+    }
   }
 }
 
@@ -218,8 +219,7 @@ TEST(Batch, PartialLanesMatchSerialAndPreserveParkedState) {
   CgraMachine m0(kernel, serial_bus0), m1(kernel, serial_bus1);
 
   LaneFnBus b0(0), b1(1);
-  PerLaneBusAdapter adapter({&b0, &b1});
-  BatchedCgraMachine batched(kernel, 2, adapter);
+  BatchedCgraMachine batched(kernel, {&b0, &b1});
 
   const StateHandle dt0 = batched.state_handle("dt0");
   // Lane 0 runs every round; lane 1 only every third round — like a sweep
@@ -228,12 +228,12 @@ TEST(Batch, PartialLanesMatchSerialAndPreserveParkedState) {
     const bool lane1_runs = round % 3 == 0;
     if (lane1_runs) {
       batched.run_iteration_all_lanes();
-      m0.run_iteration();
-      m1.run_iteration();
+      m0.run_iteration_all_lanes();
+      m1.run_iteration_all_lanes();
     } else {
       const std::uint32_t only0 = 0;
       batched.run_iteration_lanes(&only0, 1);
-      m0.run_iteration();
+      m0.run_iteration_all_lanes();
     }
     if (round == 10) {
       // External writes to the parked lane must survive masked iterations.
@@ -259,8 +259,7 @@ TEST(Batch, HandleRoundTripAndQuantisation) {
       "y = y * gain;\n",
       grid_3x3(), "roundtrip");
   LaneFnBus bus0(0), bus1(1), bus2(2);
-  PerLaneBusAdapter adapter({&bus0, &bus1, &bus2});
-  BatchedCgraMachine b(k, 3, adapter);
+  BatchedCgraMachine b(k, {&bus0, &bus1, &bus2});
 
   const ParamHandle gain = b.param_handle("gain");
   const StateHandle y = b.state_handle("y");
@@ -311,13 +310,20 @@ TEST(Batch, ErrorsNameKernelAndOffendingKey) {
     EXPECT_NE(what.find("counter_kernel"), std::string::npos) << what;
   }
   EXPECT_THROW((void)state_handle(k, "missing_state"), ConfigError);
-  // Deliberate deprecated-wrapper calls: parity of their errors with the
-  // handle path is part of the contract until the wrappers are removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_THROW(m.set_param("missing_param", 1.0), Error);
-  EXPECT_THROW((void)m.state("missing_state"), Error);
-#pragma GCC diagnostic pop
+  // The by-name helpers report the handle path's error text verbatim.
+  const auto message_of = [](const auto& fn) -> std::string {
+    try {
+      fn();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "<no Error>";
+  };
+  EXPECT_EQ(
+      message_of([&] { api::set_kernel_param(m, "missing_param", 1.0); }),
+      message_of([&] { (void)param_handle(k, "missing_param"); }));
+  EXPECT_EQ(message_of([&] { (void)api::kernel_state(m, "missing_state"); }),
+            message_of([&] { (void)state_handle(k, "missing_state"); }));
 
   // Lane-count mismatches name the kernel and the offending lane count.
   const StateHandle n = m.state_handle("n");
@@ -331,14 +337,13 @@ TEST(Batch, ErrorsNameKernelAndOffendingKey) {
   }
 
   LaneFnBus bus0(0), bus1(1);
-  PerLaneBusAdapter adapter({&bus0, &bus1});
-  BatchedCgraMachine b(k, 2, adapter);
+  BatchedCgraMachine b(k, {&bus0, &bus1});
   EXPECT_THROW((void)b.state(n, 2), ConfigError);
   EXPECT_THROW(b.set_state(StateHandle{}, 1.0, 0), ConfigError);
   EXPECT_THROW(b.set_param(ParamHandle{7}, 1.0, 0), ConfigError);
 
   // A batched machine with zero lanes is a configuration error.
-  EXPECT_THROW(BatchedCgraMachine(k, 0, adapter), ConfigError);
+  EXPECT_THROW(BatchedCgraMachine(k, std::vector<SensorBus*>{}), ConfigError);
 }
 
 TEST(Batch, BeamModelInterfaceIsUniform) {
@@ -349,8 +354,7 @@ TEST(Batch, BeamModelInterfaceIsUniform) {
   NullSensorBus null_bus;
   CgraMachine single(k, null_bus);
   LaneFnBus bus0(0), bus1(1), bus2(2);
-  PerLaneBusAdapter adapter({&bus0, &bus1, &bus2});
-  BatchedCgraMachine batch(k, 3, adapter);
+  BatchedCgraMachine batch(k, {&bus0, &bus1, &bus2});
 
   // A loop written against BeamModel runs unchanged on either machine.
   const auto drive = [](BeamModel& model) {

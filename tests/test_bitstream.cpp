@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <string>
 
+#include "cgra/batch.hpp"
 #include "cgra/bitstream.hpp"
 #include "cgra/kernels.hpp"
 #include "api/api.hpp"
@@ -72,10 +73,10 @@ TEST(Bitstream, LoadedKernelExecutesIdentically) {
     double last = 0.0;
   };
   Bus ba, bb;
-  CgraMachine ma(original, ba);
+  BatchedCgraMachine ma(original, {&ba});
   CgraMachine mb(loaded, bb);
   for (int i = 0; i < 100; ++i) {
-    ma.run_iteration();
+    ma.run_iteration_all_lanes();
     mb.run_iteration_cycle_accurate();  // and across execution modes
   }
   for (const auto& s : original.dfg.states()) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "cgra/batch.hpp"
 #include "cgra/kernels.hpp"
 #include "cgra/lower.hpp"
 #include "cgra/machine.hpp"
@@ -27,9 +28,9 @@ double run_trig(const char* fn, double angle, Precision precision) {
                           "out = " + fn + "(a);\n";
   const CompiledKernel k = compile_kernel(src, arch);
   NullSensorBus bus;
-  CgraMachine m(k, bus, precision);
+  BatchedCgraMachine m(k, {&bus}, precision);
   api::set_kernel_param(m, "a", angle);
-  m.run_iteration();
+  m.run_iteration_all_lanes();
   return api::kernel_state(m, "out");
 }
 

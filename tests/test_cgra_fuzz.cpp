@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "api/api.hpp"
+#include "cgra/batch.hpp"
 #include "cgra/machine.hpp"
 #include "cgra/schedule.hpp"
 #include "cgra/sensor.hpp"
@@ -174,14 +175,14 @@ TEST_P(CgraFuzz, FunctionalEqualsCycleAccurateAndStaysFinite) {
   ASSERT_NO_THROW(kernel = compile_kernel(source, arch)) << source;
 
   FuzzBus bus_f, bus_c, bus_d;
-  CgraMachine mf(kernel, bus_f);
+  BatchedCgraMachine mf(kernel, {&bus_f});
   CgraMachine mc(kernel, bus_c);
-  CgraMachine md(kernel, bus_d);  // determinism witness
+  BatchedCgraMachine md(kernel, {&bus_d});  // determinism witness
 
   for (int iter = 0; iter < 40; ++iter) {
-    mf.run_iteration();
+    mf.run_iteration_all_lanes();
     mc.run_iteration_cycle_accurate();
-    md.run_iteration();
+    md.run_iteration_all_lanes();
     for (const auto& s : kernel.dfg.states()) {
       const double vf = api::kernel_state(mf, s.name);
       ASSERT_TRUE(std::isfinite(vf))

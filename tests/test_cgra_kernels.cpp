@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "cgra/batch.hpp"
 #include "cgra/kernels.hpp"
 #include "cgra/machine.hpp"
 #include "api/api.hpp"
@@ -124,14 +125,14 @@ TEST(BeamKernel, TracksLikeReferenceMapInFloat64) {
   const CompiledKernel k = compile_kernel(beam_kernel_source(kc), grid_5x5());
   SineBus bus(f_ref, kc.sample_rate_hz, ring.harmonic, adc_amp);
   bus.gap_phase_rad = deg_to_rad(8.0);  // excite an oscillation
-  CgraMachine m(k, bus, Precision::kFloat64);
+  BatchedCgraMachine m(k, {&bus}, Precision::kFloat64);
 
   phys::TwoParticleTracker ref(ion, ring, gamma0);
   const double omega_gap = kTwoPi * ring.harmonic * f_ref;
   const double jump = deg_to_rad(8.0);
 
   for (int turn = 0; turn < 2000; ++turn) {
-    m.run_iteration();
+    m.run_iteration_all_lanes();
     // The kernel reads V_R from the *reference* signal — zero at its own
     // crossing — and V from the jumped gap signal (§IV-B).
     ref.step(phys::GapVoltages{
@@ -148,7 +149,6 @@ TEST(BeamKernel, Float32PrecisionStaysUsable) {
   // The real overlay computes in binary32 (§III-C). Over 2000 turns the
   // float32 trajectory stays within a few percent of the float64 one —
   // the precision argument for running this model on FP32 PEs.
-  const phys::Ring ring = phys::sis18(4);
   const double f_ref = 800.0e3;
   BeamKernelConfig kc;
   kc.gamma0 = phys::gamma_from_revolution_frequency(f_ref, 216.72);
@@ -157,11 +157,11 @@ TEST(BeamKernel, Float32PrecisionStaysUsable) {
   SineBus bus32(f_ref, kc.sample_rate_hz, 4, 0.8);
   SineBus bus64(f_ref, kc.sample_rate_hz, 4, 0.8);
   bus32.gap_phase_rad = bus64.gap_phase_rad = deg_to_rad(8.0);
-  CgraMachine m32(k, bus32, Precision::kFloat32);
-  CgraMachine m64(k, bus64, Precision::kFloat64);
+  BatchedCgraMachine m32(k, {&bus32}, Precision::kFloat32);
+  BatchedCgraMachine m64(k, {&bus64}, Precision::kFloat64);
   for (int i = 0; i < 2000; ++i) {
-    m32.run_iteration();
-    m64.run_iteration();
+    m32.run_iteration_all_lanes();
+    m64.run_iteration_all_lanes();
   }
   const double amp = deg_to_rad(8.0) / (kTwoPi * 4 * f_ref);  // rough scale
   EXPECT_NEAR(api::kernel_state(m32, "dt0"), api::kernel_state(m64, "dt0"), 0.1 * amp);
@@ -178,8 +178,8 @@ TEST(BeamKernel, MultiBunchBucketsAreIndependent) {
   const CompiledKernel k = compile_kernel(beam_kernel_source(kc), grid_5x5());
   SineBus bus(f_ref, kc.sample_rate_hz, 4, 0.8);
   bus.gap_phase_rad = deg_to_rad(5.0);
-  CgraMachine m(k, bus, Precision::kFloat64);
-  for (int i = 0; i < 500; ++i) m.run_iteration();
+  BatchedCgraMachine m(k, {&bus}, Precision::kFloat64);
+  for (int i = 0; i < 500; ++i) m.run_iteration_all_lanes();
   for (int j = 1; j < 4; ++j) {
     EXPECT_NEAR(api::kernel_state(m, "dt" + std::to_string(j)), api::kernel_state(m, "dt0"),
                 2e-2 * std::abs(api::kernel_state(m, "dt0")) + 2e-12)
@@ -194,8 +194,8 @@ TEST(BeamKernel, ActuatorWriteIsArrivalTime) {
   kc.v_scale = 4860.0 / 0.8;
   const CompiledKernel k = compile_kernel(beam_kernel_source(kc), grid_5x5());
   SineBus bus(f_ref, kc.sample_rate_hz, 4, 0.8);
-  CgraMachine m(k, bus, Precision::kFloat64);
-  m.run_iteration();
+  BatchedCgraMachine m(k, {&bus}, Precision::kFloat64);
+  m.run_iteration_all_lanes();
   // Arrival = dT + dt. With exact period and no excitation both are ~0.
   EXPECT_NEAR(bus.last_arrival_s, 0.0, 1e-11);
 }
@@ -203,10 +203,10 @@ TEST(BeamKernel, ActuatorWriteIsArrivalTime) {
 TEST(DemoOscillator, RunsAndDecays) {
   const CompiledKernel k = compile_kernel(demo_oscillator_source(), grid_3x3());
   NullSensorBus bus;
-  CgraMachine m(k, bus);
+  BatchedCgraMachine m(k, {&bus});
   double first_amp = 0.0, last_amp = 0.0;
   for (int i = 0; i < 2000; ++i) {
-    m.run_iteration();
+    m.run_iteration_all_lanes();
     const double amp = std::abs(api::kernel_state(m, "x"));
     if (i < 100) first_amp = std::max(first_amp, amp);
     if (i >= 1900) last_amp = std::max(last_amp, amp);

@@ -1,9 +1,11 @@
-// CGRA machine execution: functional vs cycle-accurate equivalence, state
-// and parameter handling, sensor bus interaction, float32 semantics.
+// CGRA machine execution: the cycle-accurate CgraMachine's semantics (state
+// and parameter handling, sensor bus interaction, float32 semantics) and its
+// equivalence with the functional 1-lane BatchedCgraMachine.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "cgra/batch.hpp"
@@ -45,7 +47,7 @@ TEST(Machine, CountsToTen) {
       grid_3x3());
   NullSensorBus bus;
   CgraMachine m(k, bus);
-  for (int i = 0; i < 10; ++i) m.run_iteration();
+  for (int i = 0; i < 10; ++i) m.run_iteration_all_lanes();
   EXPECT_DOUBLE_EQ(api::kernel_state(m, "n"), 10.0);
   EXPECT_EQ(m.iterations(), 10u);
 }
@@ -57,7 +59,7 @@ TEST(Machine, ResetRestoresInitialState) {
       grid_3x3());
   NullSensorBus bus;
   CgraMachine m(k, bus);
-  m.run_iteration();
+  m.run_iteration_all_lanes();
   EXPECT_DOUBLE_EQ(api::kernel_state(m, "n"), 10.0);
   m.reset();
   EXPECT_DOUBLE_EQ(api::kernel_state(m, "n"), 5.0);
@@ -72,14 +74,14 @@ TEST(Machine, ParamsAreRuntimeSettable) {
       grid_3x3());
   NullSensorBus bus;
   CgraMachine m(k, bus);
-  m.run_iteration();
+  m.run_iteration_all_lanes();
   EXPECT_DOUBLE_EQ(api::kernel_state(m, "y"), 2.0);
   api::set_kernel_param(m, "gain", 10.0);
   EXPECT_DOUBLE_EQ(api::kernel_param(m, "gain"), 10.0);
-  m.run_iteration();
+  m.run_iteration_all_lanes();
   EXPECT_DOUBLE_EQ(api::kernel_state(m, "y"), 20.0);
   EXPECT_THROW(api::set_kernel_param(m, "nope", 0.0), ConfigError);
-  EXPECT_THROW(api::kernel_param(m, "nope"), ConfigError);
+  EXPECT_THROW((void)api::kernel_param(m, "nope"), ConfigError);
 }
 
 TEST(Machine, StateOverride) {
@@ -90,20 +92,15 @@ TEST(Machine, StateOverride) {
   NullSensorBus bus;
   CgraMachine m(k, bus);
   api::set_kernel_state(m, "x", 100.0);
-  m.run_iteration();
+  m.run_iteration_all_lanes();
   EXPECT_DOUBLE_EQ(api::kernel_state(m, "x"), 101.0);
   EXPECT_THROW(api::set_kernel_state(m, "nope", 0.0), ConfigError);
 }
 
-// This test exercises the deprecated string-keyed wrappers on purpose:
-// it pins that they still report byte-identical errors to the handle path
-// until they are removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 TEST(Machine, StringAndHandleApisReportIdenticalErrors) {
-  // The deprecated string-keyed wrappers resolve through param_handle /
-  // state_handle, so an unknown key must produce byte-identical ConfigError
-  // text on both paths — tooling greps these messages.
+  // The api:: by-name helpers resolve through param_handle / state_handle,
+  // so an unknown key must produce byte-identical ConfigError text on both
+  // paths — tooling greps these messages.
   const CompiledKernel k = compile_kernel(
       "param float gain = 2.0;\n"
       "state float y = 1.0;\n"
@@ -120,18 +117,27 @@ TEST(Machine, StringAndHandleApisReportIdenticalErrors) {
     return "<no ConfigError>";
   };
   const std::string via_string =
-      message_of([&] { m.set_param("nope", 0.0); });
+      message_of([&] { api::set_kernel_param(m, "nope", 0.0); });
   const std::string via_handle =
       message_of([&] { (void)param_handle(k, "nope"); });
   EXPECT_EQ(via_string, via_handle);
-  EXPECT_NE(via_string, "<no ConfigError>");
-  EXPECT_EQ(message_of([&] { (void)m.state("missing"); }),
-            message_of([&] { (void)state_handle(k, "missing"); }));
+  EXPECT_EQ(via_string,
+            "unknown kernel parameter 'nope' in kernel '" + k.name +
+                "' (have: gain)");
+  EXPECT_EQ(message_of([&] { (void)api::kernel_param(m, "nope"); }),
+            via_handle);
+  const std::string state_via_handle =
+      message_of([&] { (void)state_handle(k, "missing"); });
+  EXPECT_EQ(message_of([&] { (void)api::kernel_state(m, "missing"); }),
+            state_via_handle);
+  EXPECT_EQ(message_of([&] { api::set_kernel_state(m, "missing", 0.0); }),
+            state_via_handle);
+  EXPECT_EQ(state_via_handle, "unknown kernel state 'missing' in kernel '" +
+                                  k.name + "' (have: y)");
 
-  // Stale-handle and lane errors must also match between the single-lane
-  // machine and the batched machine (modulo the lane count it reports).
-  PerLaneBusAdapter lane_bus({&bus});
-  BatchedCgraMachine batch(k, 1, lane_bus);
+  // Stale-handle and lane errors must also match between the cycle-accurate
+  // machine and the functional machine (modulo the lane count it reports).
+  BatchedCgraMachine batch(k, {&bus});
   const ParamHandle stale{99};
   EXPECT_EQ(message_of([&] { m.set_param(stale, 1.0, 0); }),
             message_of([&] { batch.set_param(stale, 1.0, 0); }));
@@ -142,7 +148,6 @@ TEST(Machine, StringAndHandleApisReportIdenticalErrors) {
   EXPECT_EQ(message_of([&] { (void)m.param(good, 1); }),
             message_of([&] { (void)batch.param(good, 1); }));
 }
-#pragma GCC diagnostic pop
 
 TEST(Machine, ArithmeticOperators) {
   const CompiledKernel k = compile_kernel(
@@ -161,7 +166,7 @@ TEST(Machine, ArithmeticOperators) {
       grid_5x5());
   NullSensorBus bus;
   CgraMachine m(k, bus);
-  m.run_iteration();
+  m.run_iteration_all_lanes();
   EXPECT_DOUBLE_EQ(api::kernel_state(m, "s"), 7.0);
 }
 
@@ -179,7 +184,7 @@ TEST(Machine, SensorReadsAndWritesDecodeRegions) {
   bus.values[{SensorRegion::kRefBuf, 5.0}] = 0.25;
   bus.values[{SensorRegion::kGapBuf, -3.0}] = -0.125;
   CgraMachine m(k, bus);
-  m.run_iteration();
+  m.run_iteration_all_lanes();
   ASSERT_EQ(bus.writes.size(), 1u);
   EXPECT_EQ(bus.writes[0].region, SensorRegion::kActuator);
   EXPECT_NEAR(bus.writes[0].offset, 0.0, 1e-9);
@@ -197,12 +202,9 @@ TEST(Machine, StoresExecuteInProgramOrder) {
       grid_3x3());
   for (bool cycle_accurate : {false, true}) {
     ScriptedBus bus;
-    CgraMachine m(k, bus);
-    if (cycle_accurate) {
-      m.run_iteration_cycle_accurate();
-    } else {
-      m.run_iteration();
-    }
+    const std::unique_ptr<BeamModel> m =
+        make_loop_model(k, bus, cycle_accurate, ExecTier::kInterpreter);
+    m->run_iteration_all_lanes();
     ASSERT_EQ(bus.writes.size(), 3u);
     EXPECT_DOUBLE_EQ(bus.writes[0].value, 1.0);
     EXPECT_DOUBLE_EQ(bus.writes[1].value, 2.0);
@@ -221,8 +223,8 @@ TEST(Machine, Float32QuantisationApplied) {
   const CompiledKernel k64 = compile_kernel(src, grid_3x3());
   CgraMachine m32(k32, bus, Precision::kFloat32);
   CgraMachine m64(k64, bus, Precision::kFloat64);
-  m32.run_iteration();
-  m64.run_iteration();
+  m32.run_iteration_all_lanes();
+  m64.run_iteration_all_lanes();
   EXPECT_DOUBLE_EQ(api::kernel_state(m32, "s"), 1.0);
   EXPECT_GT(api::kernel_state(m64, "s"), 1.0);
 }
@@ -239,10 +241,10 @@ TEST(Machine, PipelinedKernelWarmupAndSteadyState) {
       grid_3x3());
   NullSensorBus bus;
   CgraMachine m(k, bus);
-  m.run_iteration();  // stage 1 sees the pipeline register's reset value
+  m.run_iteration_all_lanes();  // stage 1 sees the pipeline register's reset value
   EXPECT_DOUBLE_EQ(api::kernel_state(m, "y"), 0.0);
-  m.run_iteration();
-  m.run_iteration();
+  m.run_iteration_all_lanes();
+  m.run_iteration_all_lanes();
   // Steady state: y_k = probe from iteration k-1 = 2 * n at start of k-1,
   // and n at start of iteration k-1 is n_now - 2.
   const double n_now = api::kernel_state(m, "n");
@@ -292,10 +294,10 @@ TEST_P(ExecutionEquivalence, FunctionalEqualsCycleAccurate) {
   };
 
   WaveBus bus_f, bus_c;
-  CgraMachine mf(k, bus_f);
+  BatchedCgraMachine mf(k, {&bus_f});
   CgraMachine mc(k, bus_c);
   for (int i = 0; i < 50; ++i) {
-    mf.run_iteration();
+    mf.run_iteration_all_lanes();
     mc.run_iteration_cycle_accurate();
   }
   for (const auto& s : k.dfg.states()) {

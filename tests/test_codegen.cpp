@@ -65,17 +65,21 @@ class FnBus final : public SensorBus {
   std::size_t lane_;
 };
 
-class LaneFnBus final : public LaneSensorBus {
+/// One FnBus per lane, and the per-lane bus list a machine takes.
+class LaneFnBuses {
  public:
-  explicit LaneFnBus(std::size_t lanes) : buses_() {
-    for (std::size_t l = 0; l < lanes; ++l) buses_.emplace_back(l);
+  explicit LaneFnBuses(std::size_t lanes) {
+    buses_.reserve(lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      buses_.emplace_back(l);
+      ptrs_.push_back(&buses_.back());
+    }
   }
-  double read(std::size_t lane, SensorRegion region, double offset) override {
-    return buses_[lane].read(region, offset);
-  }
-  void write(std::size_t lane, SensorRegion region, double offset,
-             double value) override {
-    buses_[lane].write(region, offset, value);
+  LaneFnBuses(const LaneFnBuses&) = delete;
+  LaneFnBuses& operator=(const LaneFnBuses&) = delete;
+
+  [[nodiscard]] const std::vector<SensorBus*>& lanes() const noexcept {
+    return ptrs_;
   }
   [[nodiscard]] const std::vector<FnBus::Entry>& log(std::size_t lane) const {
     return buses_[lane].log;
@@ -83,6 +87,7 @@ class LaneFnBus final : public LaneSensorBus {
 
  private:
   std::vector<FnBus> buses_;
+  std::vector<SensorBus*> ptrs_;
 };
 
 struct KernelCase {
@@ -140,67 +145,53 @@ void expect_double_eq_bits(double expected, double actual,
   EXPECT_EQ(expected, actual) << what;
 }
 
-/// Runs `tier` against the interpreter on a serial machine: identical state
-/// trajectories and write logs, entry for entry.
-void expect_serial_tier_identity(const CompiledKernel& kernel,
-                                 Precision precision, ExecTier tier,
-                                 int iters = 300) {
-  FnBus ref_bus, dut_bus;
-  CgraMachine ref(kernel, ref_bus, precision, ExecTier::kInterpreter);
-  CgraMachine dut(kernel, dut_bus, precision, tier);
-  perturb_lane(ref, 0, 3);
-  perturb_lane(dut, 0, 3);
-  for (int i = 0; i < iters; ++i) {
-    ref.run_iteration();
-    dut.run_iteration();
+/// Runs `tier` on `lanes` lanes against a reference with identical state
+/// trajectories and write logs, lane by lane and entry for entry. With more
+/// than one lane the reference is the interpreter and a subset of lanes runs
+/// masked every fifth iteration; a single lane is checked against the
+/// cycle-accurate CgraMachine.
+void expect_tier_identity(const CompiledKernel& kernel, Precision precision,
+                          ExecTier tier, std::size_t lanes = 1,
+                          int iters = 300) {
+  LaneFnBuses ref_bus(lanes), dut_bus(lanes);
+  std::unique_ptr<BeamModel> ref;
+  if (lanes == 1) {
+    ref = std::make_unique<CgraMachine>(kernel, *ref_bus.lanes()[0],
+                                        precision);
+  } else {
+    ref = std::make_unique<BatchedCgraMachine>(kernel, ref_bus.lanes(),
+                                               precision,
+                                               ExecTier::kInterpreter);
   }
-  for (std::size_t s = 0; s < kernel.dfg.states().size(); ++s) {
-    const StateHandle h{static_cast<int>(s)};
-    expect_double_eq_bits(ref.state(h), dut.state(h),
-                          "state " + kernel.dfg.states()[s].name);
-  }
-  ASSERT_EQ(ref_bus.log.size(), dut_bus.log.size());
-  for (std::size_t w = 0; w < ref_bus.log.size(); ++w) {
-    EXPECT_EQ(ref_bus.log[w].region, dut_bus.log[w].region);
-    expect_double_eq_bits(ref_bus.log[w].offset, dut_bus.log[w].offset,
-                          "write offset");
-    expect_double_eq_bits(ref_bus.log[w].value, dut_bus.log[w].value,
-                          "write value");
-  }
-}
-
-/// Batched 8-lane identity with a masked-lane cadence (a subset every fifth
-/// iteration), against a batched interpreter reference.
-void expect_batched_tier_identity(const CompiledKernel& kernel,
-                                  Precision precision, ExecTier tier) {
-  constexpr std::size_t kLanes = 8;
-  LaneFnBus ref_bus(kLanes), dut_bus(kLanes);
-  BatchedCgraMachine ref(kernel, kLanes, ref_bus, precision,
-                         ExecTier::kInterpreter);
-  BatchedCgraMachine dut(kernel, kLanes, dut_bus, precision, tier);
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    perturb_lane(ref, l, l);
-    perturb_lane(dut, l, l);
+  BatchedCgraMachine dut(kernel, dut_bus.lanes(), precision, tier);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    // A single lane still gets perturbed values (scenario 3).
+    const std::size_t scenario = lanes == 1 ? 3 : l;
+    perturb_lane(*ref, l, scenario);
+    perturb_lane(dut, l, scenario);
   }
   const std::uint32_t subset[3] = {1, 4, 6};
-  for (int i = 0; i < 150; ++i) {
-    if (i % 5 == 4) {
-      ref.run_iteration_lanes(subset, 3);
+  for (int i = 0; i < iters; ++i) {
+    if (lanes > 1 && i % 5 == 4) {
+      static_cast<BatchedCgraMachine&>(*ref).run_iteration_lanes(subset, 3);
       dut.run_iteration_lanes(subset, 3);
     } else {
-      ref.run_iteration_all_lanes();
+      ref->run_iteration_all_lanes();
       dut.run_iteration_all_lanes();
     }
   }
-  for (std::size_t l = 0; l < kLanes; ++l) {
+  for (std::size_t l = 0; l < lanes; ++l) {
     for (std::size_t s = 0; s < kernel.dfg.states().size(); ++s) {
       const StateHandle h{static_cast<int>(s)};
-      expect_double_eq_bits(ref.state(h, l), dut.state(h, l),
+      expect_double_eq_bits(ref->state(h, l), dut.state(h, l),
                             "lane " + std::to_string(l) + " state " +
                                 kernel.dfg.states()[s].name);
     }
     ASSERT_EQ(ref_bus.log(l).size(), dut_bus.log(l).size());
     for (std::size_t w = 0; w < ref_bus.log(l).size(); ++w) {
+      EXPECT_EQ(ref_bus.log(l)[w].region, dut_bus.log(l)[w].region);
+      expect_double_eq_bits(ref_bus.log(l)[w].offset, dut_bus.log(l)[w].offset,
+                            "lane " + std::to_string(l) + " write offset");
       expect_double_eq_bits(ref_bus.log(l)[w].value, dut_bus.log(l)[w].value,
                             "lane " + std::to_string(l) + " write");
     }
@@ -215,7 +206,7 @@ TEST(CodegenIdentity, BytecodeMatchesInterpreterEveryKernel) {
   for (const KernelCase& c : kernel_cases()) {
     for (Precision p : {Precision::kFloat32, Precision::kFloat64}) {
       SCOPED_TRACE(c.label + (p == Precision::kFloat64 ? " f64" : " f32"));
-      expect_serial_tier_identity(c.kernel, p, ExecTier::kBytecode);
+      expect_tier_identity(c.kernel, p, ExecTier::kBytecode);
     }
   }
 }
@@ -227,7 +218,7 @@ TEST(CodegenIdentity, NativeMatchesInterpreterEveryKernel) {
   for (const KernelCase& c : kernel_cases()) {
     for (Precision p : {Precision::kFloat32, Precision::kFloat64}) {
       SCOPED_TRACE(c.label + (p == Precision::kFloat64 ? " f64" : " f32"));
-      expect_serial_tier_identity(c.kernel, p, ExecTier::kNative);
+      expect_tier_identity(c.kernel, p, ExecTier::kNative);
       ASSERT_EQ(NativeKernelCache::global().stats().fallbacks, 0u);
     }
   }
@@ -236,7 +227,7 @@ TEST(CodegenIdentity, NativeMatchesInterpreterEveryKernel) {
 TEST(CodegenIdentity, BatchedMaskedLanesMatchInterpreter) {
   // The batched engine spot-checks the bench headline kernel and the
   // pipelined beam kernel (the masked path plus pipeline-register latching);
-  // the serial tests above cover the full kernel matrix.
+  // the single-lane tests above cover the full kernel matrix.
   BeamKernelConfig pipelined;
   pipelined.pipelined = true;
   pipelined.n_bunches = 4;
@@ -250,9 +241,9 @@ TEST(CodegenIdentity, BatchedMaskedLanesMatchInterpreter) {
   for (const KernelCase& c : cases) {
     for (Precision p : {Precision::kFloat32, Precision::kFloat64}) {
       SCOPED_TRACE(c.label + (p == Precision::kFloat64 ? " f64" : " f32"));
-      expect_batched_tier_identity(c.kernel, p, ExecTier::kBytecode);
+      expect_tier_identity(c.kernel, p, ExecTier::kBytecode, 8, 150);
       if (native_available()) {
-        expect_batched_tier_identity(c.kernel, p, ExecTier::kNative);
+        expect_tier_identity(c.kernel, p, ExecTier::kNative, 8, 150);
       }
     }
   }
@@ -262,10 +253,10 @@ TEST(CodegenIdentity, AutoResolvesAndMatches) {
   const CompiledKernel kernel = compile_kernel(cavity_iq_servo_source(),
                                                grid_4x4(), "cavity_iq_servo");
   FnBus bus;
-  CgraMachine m(kernel, bus, Precision::kFloat64, ExecTier::kAuto);
+  BatchedCgraMachine m(kernel, {&bus}, Precision::kFloat64, ExecTier::kAuto);
   EXPECT_EQ(m.exec_tier(), native_available() ? ExecTier::kNative
                                               : ExecTier::kBytecode);
-  expect_serial_tier_identity(kernel, Precision::kFloat64, ExecTier::kAuto);
+  expect_tier_identity(kernel, Precision::kFloat64, ExecTier::kAuto);
 }
 
 // --- the disk cache ---------------------------------------------------------
@@ -363,8 +354,7 @@ TEST(CodegenCache, CorruptSharedObjectIsRepaired) {
   EXPECT_EQ(cache.stats().compiles, before.compiles + 1);
 
   // The recompiled kernel is the real thing, not a husk: identity holds.
-  expect_serial_tier_identity(kernel, Precision::kFloat32, ExecTier::kNative,
-                              100);
+  expect_tier_identity(kernel, Precision::kFloat32, ExecTier::kNative, 1, 100);
 }
 
 TEST(CodegenCache, KeyCoversThePortabilityHeader) {
@@ -436,20 +426,19 @@ TEST(CodegenFallback, ChildResolvesBytecode) {
   // An explicit kNative request degrades to bytecode and counts a fallback;
   // kAuto resolves straight to bytecode without touching the cache.
   FnBus bus;
-  CgraMachine explicit_native(kernel, bus, Precision::kFloat64,
-                              ExecTier::kNative);
+  BatchedCgraMachine explicit_native(kernel, {&bus}, Precision::kFloat64,
+                                     ExecTier::kNative);
   EXPECT_EQ(explicit_native.exec_tier(), ExecTier::kBytecode);
   EXPECT_GE(NativeKernelCache::global().stats().fallbacks,
             before.fallbacks + 1);
 
   FnBus auto_bus;
-  CgraMachine auto_machine(kernel, auto_bus, Precision::kFloat64,
-                           ExecTier::kAuto);
+  BatchedCgraMachine auto_machine(kernel, {&auto_bus}, Precision::kFloat64,
+                                  ExecTier::kAuto);
   EXPECT_EQ(auto_machine.exec_tier(), ExecTier::kBytecode);
 
   // And the fallback still computes the right numbers.
-  expect_serial_tier_identity(kernel, Precision::kFloat64, ExecTier::kNative,
-                              100);
+  expect_tier_identity(kernel, Precision::kFloat64, ExecTier::kNative, 1, 100);
 }
 
 // --- config threading -------------------------------------------------------

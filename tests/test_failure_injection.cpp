@@ -264,8 +264,7 @@ TEST(FailureInjection, BatchedLaneStateFaultsStayIsolated) {
     lane_buses.push_back(std::make_unique<IsolationBus>(lane));
     bus_ptrs.push_back(lane_buses[lane].get());
   }
-  cgra::PerLaneBusAdapter adapter(std::move(bus_ptrs));
-  cgra::BatchedCgraMachine batched(kernel, kLanes, adapter);
+  cgra::BatchedCgraMachine batched(kernel, std::move(bus_ptrs));
   fault::FaultInjector batch_inj(plan, 99,
                                  fault::FaultInjector::Host::kSampleAccurate);
   batch_inj.resolve_targets(kernel);
@@ -275,8 +274,8 @@ TEST(FailureInjection, BatchedLaneStateFaultsStayIsolated) {
     twin_inj.begin_tick(it);
     batched.run_iteration_all_lanes();
     batch_inj.apply_state_faults(batched, kFaulted);
-    for (auto& m : serial) m->run_iteration();
-    twin.run_iteration();
+    for (auto& m : serial) m->run_iteration_all_lanes();
+    twin.run_iteration_all_lanes();
     twin_inj.apply_state_faults(twin, 0);
   }
   EXPECT_GT(batch_inj.events(), 0);
@@ -315,8 +314,7 @@ TEST(FailureInjection, BatchedSnapshotRestoreIsBitExactAndLaneLocal) {
     lane_buses.push_back(std::make_unique<IsolationBus>(lane));
     bus_ptrs.push_back(lane_buses[lane].get());
   }
-  cgra::PerLaneBusAdapter adapter(std::move(bus_ptrs));
-  cgra::BatchedCgraMachine batched(kernel, kLanes, adapter);
+  cgra::BatchedCgraMachine batched(kernel, std::move(bus_ptrs));
   for (int it = 0; it < 7; ++it) batched.run_iteration_all_lanes();
 
   const std::size_t n = kernel.dfg.states().size();

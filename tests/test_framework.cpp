@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "cgra/batch.hpp"
+#include "cgra/exec_tier.hpp"
 #include "core/units.hpp"
 #include "hil/experiment.hpp"
 #include "hil/framework.hpp"
@@ -234,6 +237,62 @@ TEST(Framework, AgreesWithTurnLoopOnJumpResponse) {
   const double swing_fw = peak_to_peak(tf, vf, 2.0e-3, 3.5e-3);
   const double swing_tl = peak_to_peak(ts, ph, 2.0e-3, 3.5e-3);
   EXPECT_NEAR(swing_fw, swing_tl, 0.15 * swing_tl);
+}
+
+TEST(Framework, CycleAccurateModelsMatchFunctionalOnEveryTier) {
+  // cycle_accurate / cycle_accurate_cgra only swap the owned model (the
+  // cycle-accurate CgraMachine for the functional 1-lane machine): turn
+  // records, DAC outputs and the phase trace stay bit-identical on every
+  // exec tier.
+  const ctrl::PhaseJumpProgramme jump(deg_to_rad(8.0), 1.0, 0.2e-3);
+  for (cgra::ExecTier tier :
+       {cgra::ExecTier::kInterpreter, cgra::ExecTier::kBytecode,
+        cgra::ExecTier::kNative}) {
+    SCOPED_TRACE(std::string(cgra::exec_tier_name(tier)));
+
+    TurnLoopConfig tl;
+    tl.kernel.pipelined = true;
+    tl.f_ref_hz = 800.0e3;
+    tl.gap_voltage_v = paper_framework().gap_voltage_v;
+    tl.jumps = jump;
+    tl.exec_tier = tier;
+    TurnLoopConfig tl_ca = tl;
+    tl_ca.cycle_accurate = true;
+    TurnLoop lf(tl), lc(tl_ca);
+    ASSERT_NE(dynamic_cast<cgra::CgraMachine*>(&lc.model()), nullptr);
+    ASSERT_NE(dynamic_cast<cgra::BatchedCgraMachine*>(&lf.model()), nullptr);
+    for (int i = 0; i < 2000; ++i) {
+      const TurnRecord rf = lf.step();
+      const TurnRecord rc = lc.step();
+      ASSERT_EQ(rf.time_s, rc.time_s) << "turn " << i;
+      ASSERT_EQ(rf.phase_rad, rc.phase_rad) << "turn " << i;
+      ASSERT_EQ(rf.dt_s, rc.dt_s) << "turn " << i;
+      ASSERT_EQ(rf.dgamma, rc.dgamma) << "turn " << i;
+      ASSERT_EQ(rf.correction_hz, rc.correction_hz) << "turn " << i;
+      ASSERT_EQ(rf.gap_phase_rad, rc.gap_phase_rad) << "turn " << i;
+    }
+
+    FrameworkConfig fc = paper_framework();
+    fc.jumps = jump;
+    fc.exec_tier = tier;
+    FrameworkConfig fc_ca = fc;
+    fc_ca.cycle_accurate_cgra = true;
+    Framework ff(fc), fca(fc_ca);
+    ASSERT_NE(dynamic_cast<cgra::CgraMachine*>(&fca.machine()), nullptr);
+    ASSERT_NE(dynamic_cast<cgra::BatchedCgraMachine*>(&ff.machine()),
+              nullptr);
+    for (int i = 0; i < 400'000; ++i) {
+      const FrameworkOutputs of = ff.tick();
+      const FrameworkOutputs oc = fca.tick();
+      ASSERT_EQ(of.beam_v, oc.beam_v) << "tick " << i;
+      ASSERT_EQ(of.monitor_v, oc.monitor_v) << "tick " << i;
+    }
+    EXPECT_GT(ff.cgra_runs(), 0);
+    EXPECT_EQ(ff.cgra_runs(), fca.cgra_runs());
+    EXPECT_EQ(ff.phase_trace().times(), fca.phase_trace().times());
+    EXPECT_EQ(ff.phase_trace().values(), fca.phase_trace().values());
+    EXPECT_FALSE(ff.phase_trace().values().empty());
+  }
 }
 
 }  // namespace

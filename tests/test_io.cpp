@@ -90,19 +90,20 @@ TEST(Csv, ParseNumberAcceptsCaseAndSignVariants) {
 }
 
 TEST(Csv, ParseNumberRejectsGarbage) {
-  EXPECT_THROW(io::csv_parse_number(""), ConfigError);
-  EXPECT_THROW(io::csv_parse_number("-"), ConfigError);
-  EXPECT_THROW(io::csv_parse_number("1.5x"), ConfigError);
-  EXPECT_THROW(io::csv_parse_number("nanx"), ConfigError);
-  EXPECT_THROW(io::csv_parse_number("not-a-number"), ConfigError);
+  EXPECT_THROW((void)io::csv_parse_number(""), ConfigError);
+  EXPECT_THROW((void)io::csv_parse_number("-"), ConfigError);
+  EXPECT_THROW((void)io::csv_parse_number("1.5x"), ConfigError);
+  EXPECT_THROW((void)io::csv_parse_number("nanx"), ConfigError);
+  EXPECT_THROW((void)io::csv_parse_number("not-a-number"), ConfigError);
 }
 
 TEST(Csv, ParseNumberIsLocaleIndependent) {
   // Regression: csv_parse_number used std::strtod, which honours the process
   // locale — under a comma-decimal locale (de_DE.UTF-8) "3.14" stopped
   // parsing at the '.' and the round-trip broke. std::from_chars always
-  // reads the C-locale format. Skip (don't fail) on hosts without a
-  // comma-decimal locale generated.
+  // reads the C-locale format. The test build generates de_DE.UTF-8 into
+  // the build tree and sets LOCPATH (tests/CMakeLists.txt); skip (don't
+  // fail) only on hosts where no comma-decimal locale exists at all.
   const char* old = std::setlocale(LC_ALL, nullptr);
   const std::string saved = old != nullptr ? old : "C";
   const char* got = std::setlocale(LC_ALL, "de_DE.UTF-8");
@@ -235,7 +236,9 @@ TEST(AsciiPlot, ContainsMarksAndAxes) {
     y.push_back(std::sin(0.1 * i));
   }
   const std::string p =
-      io::ascii_plot(x, y, {.width = 60, .height = 10, .title = "wave"});
+      io::ascii_plot(x, y,
+                     {.width = 60, .height = 10, .title = "wave",
+                      .y_label = "", .x_label = ""});
   EXPECT_NE(p.find("wave"), std::string::npos);
   EXPECT_NE(p.find('*'), std::string::npos);
   EXPECT_NE(p.find('+'), std::string::npos);
@@ -243,7 +246,9 @@ TEST(AsciiPlot, ContainsMarksAndAxes) {
 
 TEST(AsciiPlot, OverlayUsesDistinctMarks) {
   std::vector<double> x{0, 1, 2, 3}, y1{0, 1, 0, -1}, y2{1, 0, -1, 0};
-  const std::string p = io::ascii_plot2(x, y1, x, y2, {.width = 40, .height = 8});
+  const std::string p = io::ascii_plot2(
+      x, y1, x, y2,
+      {.width = 40, .height = 8, .title = "", .y_label = "", .x_label = ""});
   EXPECT_NE(p.find('*'), std::string::npos);
   EXPECT_NE(p.find('o'), std::string::npos);
 }
@@ -279,8 +284,8 @@ TEST(ParamBus, DefaultsAndRoundTrip) {
   bus.set("beam_pulse_scale", 0.5);
   EXPECT_DOUBLE_EQ(bus.get("beam_pulse_scale"), 0.5);
   // Unknown registers report through the library's error hierarchy.
-  EXPECT_THROW(bus.get("nope"), citl::Error);
-  EXPECT_THROW(bus.handle("nope"), citl::Error);
+  EXPECT_THROW((void)bus.get("nope"), citl::Error);
+  EXPECT_THROW((void)bus.handle("nope"), citl::Error);
 
   // A handle reads the same storage set() writes, across later insertions.
   const hil::ParameterBus::Handle h = bus.handle("beam_pulse_scale");

@@ -300,8 +300,11 @@ TEST(Oracle, FaultScenarioForcesDenseComparisonAndStillAgrees) {
   // identical scripted fault, so they still agree (including the NaN turns
   // a reference dropout produces: matched NaN is agreement).
   hil::TurnLoopConfig tl = paper_loop();
-  tl.faults.entries.push_back(fault::FaultSpec{
-      .kind = fault::FaultKind::kRefDropout, .start_tick = 50, .duration = 3});
+  fault::FaultSpec dropout;
+  dropout.kind = fault::FaultKind::kRefDropout;
+  dropout.start_tick = 50;
+  dropout.duration = 3;
+  tl.faults.entries.push_back(dropout);
   OracleConfig oc;
   oc.reference = Fidelity::kHostF64;
   oc.candidate = Fidelity::kSerialF64;

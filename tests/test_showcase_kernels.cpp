@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "cgra/batch.hpp"
 #include "cgra/machine.hpp"
 #include "api/api.hpp"
 #include "cgra/schedule.hpp"
@@ -49,10 +50,10 @@ sensor_write(294912.0, err);
 TEST(ShowcaseKernels, LorenzStaysOnTheAttractor) {
   const CompiledKernel k = compile_kernel(kLorenz, grid_4x4());
   NullSensorBus bus;
-  CgraMachine m(k, bus);
+  BatchedCgraMachine m(k, {&bus});
   double max_x = 0.0, min_x = 0.0;
   for (int i = 0; i < 20'000; ++i) {
-    m.run_iteration();
+    m.run_iteration_all_lanes();
     const double x = api::kernel_state(m, "x");
     ASSERT_TRUE(std::isfinite(x)) << "iteration " << i;
     max_x = std::max(max_x, x);
@@ -69,9 +70,10 @@ TEST(ShowcaseKernels, LorenzStaysOnTheAttractor) {
 TEST(ShowcaseKernels, LorenzFunctionalMatchesCycleAccurate) {
   const CompiledKernel k = compile_kernel(kLorenz, grid_4x4());
   NullSensorBus bus;
-  CgraMachine a(k, bus), b(k, bus);
+  BatchedCgraMachine a(k, {&bus});
+  CgraMachine b(k, bus);
   for (int i = 0; i < 500; ++i) {
-    a.run_iteration();
+    a.run_iteration_all_lanes();
     b.run_iteration_cycle_accurate();
   }
   EXPECT_DOUBLE_EQ(api::kernel_state(a, "x"), api::kernel_state(b, "x"));
@@ -81,14 +83,14 @@ TEST(ShowcaseKernels, LorenzFunctionalMatchesCycleAccurate) {
 TEST(ShowcaseKernels, PllTracksTheInputTone) {
   const CompiledKernel k = compile_kernel(kPll, grid_4x4());
   NullSensorBus bus;
-  CgraMachine m(k, bus);
-  for (int i = 0; i < 3000; ++i) m.run_iteration();  // acquisition
+  BatchedCgraMachine m(k, {&bus});
+  for (int i = 0; i < 3000; ++i) m.run_iteration_all_lanes();  // acquisition
   // Once locked, the NCO advances at the input rate: the phase difference
   // stays bounded over thousands of further cycles.
   const double offset0 = api::kernel_state(m, "theta") - api::kernel_state(m, "theta_in");
   double worst = 0.0;
   for (int i = 0; i < 3000; ++i) {
-    m.run_iteration();
+    m.run_iteration_all_lanes();
     const double diff = api::kernel_state(m, "theta") - api::kernel_state(m, "theta_in");
     ASSERT_TRUE(std::isfinite(diff));
     worst = std::max(worst, std::abs(diff - offset0));

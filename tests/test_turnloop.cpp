@@ -205,8 +205,11 @@ TEST(TurnLoop, CheckpointRestoreReplaysBitExactly) {
 
 TEST(TurnLoop, CheckpointRejectsFaultedAndSupervisedLoops) {
   TurnLoopConfig tl = paper_loop();
-  tl.faults.entries.push_back(fault::FaultSpec{
-      .kind = fault::FaultKind::kRefDropout, .start_tick = 10, .duration = 5});
+  fault::FaultSpec dropout;
+  dropout.kind = fault::FaultKind::kRefDropout;
+  dropout.start_tick = 10;
+  dropout.duration = 5;
+  tl.faults.entries.push_back(dropout);
   TurnLoop faulted(tl);
   EXPECT_THROW((void)faulted.checkpoint(), std::logic_error);
 
